@@ -1,22 +1,27 @@
 // Timeline visualization: run one Hy_Allgather and one naive allgather on
-// a 2-node x 6-core cluster with tracing on, and print the per-rank ASCII
-// Gantt charts. The hybrid chart makes the paper's mechanism visible at a
-// glance: children idle briefly at the sync bars while only the two
+// a 2-node x 6-core cluster with span tracing on, and print the per-rank
+// ASCII Gantt charts. The hybrid chart makes the paper's mechanism visible
+// at a glance: children idle briefly at the sync bars while only the two
 // leaders (rank rows 0 and 6) talk to the network; the naive chart is wall
-// to wall with on-node sends, receives and copies.
+// to wall with on-node sends and receives.
 
 #include <cstdio>
 #include <cstring>
 
 #include "hybrid/hympi.h"
+#include "trace/report.h"
 
 using namespace minimpi;
 using namespace hympi;
 
 int main() {
     RunOptions opts;
-    opts.trace = true;
+    opts.spans = true;
+    opts.span_p2p = true;
     const std::size_t elements = 2048;  // doubles per rank
+    auto chart = [](const Runtime& rt) {
+        return hytrace::report::render_timeline(rt.last_span_traces(), 76);
+    };
 
     {
         Runtime rt(ClusterSpec::regular(2, 6), ModelParams::cray(),
@@ -29,8 +34,7 @@ int main() {
             ch.run();
         });
         std::printf("Hy_Allgather (%zu doubles/rank, 2 nodes x 6):\n%s\n",
-                    elements,
-                    render_timeline(rt.last_traces(), 76).c_str());
+                    elements, chart(rt).c_str());
     }
     {
         Runtime rt(ClusterSpec::regular(2, 6), ModelParams::cray(),
@@ -42,8 +46,7 @@ int main() {
             allgather(world, mine.data(), elements, all.data(),
                       Datatype::Double);
         });
-        std::printf("naive Allgather (same workload):\n%s",
-                    render_timeline(rt.last_traces(), 76).c_str());
+        std::printf("naive Allgather (same workload):\n%s", chart(rt).c_str());
     }
     return 0;
 }

@@ -24,10 +24,15 @@ const char* bridge_algo_name(BridgeAlgo a) {
     return "?";
 }
 
+constexpr RoundNames kNames{"hy_allgather",        "Hy_Allgather",
+                            "hy_iallgather",       "hy_allgather_start",
+                            "Hy_Allgather_start",  "hy_allgather_finish",
+                            "Hy_Allgather_finish"};
+
 }  // namespace
 
 AllgatherChannel::AllgatherChannel(const HierComm& hc, std::size_t block_bytes)
-    : hc_(&hc), sync_(hc), stager_(hc) {
+    : hc_(&hc), round_(hc, kNames) {
     std::vector<std::size_t> per_rank(
         static_cast<std::size_t>(hc.world().size()), block_bytes);
     init_layout(per_rank);
@@ -35,7 +40,7 @@ AllgatherChannel::AllgatherChannel(const HierComm& hc, std::size_t block_bytes)
 
 AllgatherChannel::AllgatherChannel(const HierComm& hc,
                                    std::span<const std::size_t> bytes_per_rank)
-    : hc_(&hc), sync_(hc), stager_(hc) {
+    : hc_(&hc), round_(hc, kNames) {
     if (bytes_per_rank.size() != static_cast<std::size_t>(hc.world().size())) {
         throw minimpi::ArgumentError(
             "AllgatherChannel needs one block size per comm rank");
@@ -74,14 +79,14 @@ void AllgatherChannel::init_layout(
         rank_order_layout_ = minimpi::Layout::indexed(std::move(extents));
     }
 
-    // Largest whole-node block — every rank derives it from the (uniform)
-    // slot-major layout, so it is a safe rank-uniform tuning key.
+    // Whole node blocks — every rank derives them from the (uniform)
+    // slot-major layout, so their largest is a safe rank-uniform tuning key.
     for (int n = 0; n < hc_->num_nodes(); ++n) {
         const auto s0 = static_cast<std::size_t>(hc_->node_offset(n));
-        const auto s1 = static_cast<std::size_t>(
-            n + 1 < hc_->num_nodes() ? hc_->node_offset(n + 1) : p);
-        max_node_block_ =
-            std::max(max_node_block_, slot_offset_[s1] - slot_offset_[s0]);
+        const auto s1 = s0 + static_cast<std::size_t>(hc_->node_size(n));
+        node_displs_.push_back(slot_offset_[s0]);
+        node_counts_.push_back(slot_offset_[s1] - slot_offset_[s0]);
+        max_node_block_ = std::max(max_node_block_, node_counts_.back());
     }
 
     // One-off bridge parameters for my leader role. Bridge rank order is
@@ -127,21 +132,7 @@ void AllgatherChannel::init_layout(
     }
 
     // Resilience one-offs (robust mode only — the fast path pays nothing).
-    minimpi::RankCtx& ctx = hc_->world().ctx();
-    const RobustConfig* cfg = ctx.robust_cfg;
-    if (cfg != nullptr && cfg->enabled) {
-        chan_uid_ = robust::alloc_channel_uid(hc_->world());
-        fail_shared_ = boot_fail_word(*hc_);
-        // SHM allocation failure (pillar 4, second trigger): agree across
-        // the whole job and degrade together, so no rank is left holding a
-        // null partition while others use the window. Gated on an active
-        // injection plan — fault-free runs send no agreement traffic.
-        if (ctx.runtime->fault_plan().shm_fail_every > 0) {
-            const bool agreed_fail = robust::agree_failure(
-                hc_->world(), buf_.alloc_failed(), gen64(), *cfg, stats_);
-            if (agreed_fail) downgrade_to_flat(/*refill=*/false);
-        }
-    }
+    if (round_.boot(buf_, /*flat_rung=*/true)) make_flat();
 }
 
 void AllgatherChannel::repack_rank_order(void* dst) const {
@@ -208,30 +199,14 @@ BridgeAlgo AllgatherChannel::tuned_bridge_algo(std::size_t& seg) const {
     return BridgeAlgo::Allgatherv;  // the paper's default
 }
 
-std::size_t AllgatherChannel::tuned_split_segment() const {
-    const tuning::DecisionTable* table = hc_->world().ctx().tuned;
-    if (table == nullptr) return 0;
-    const auto c =
-        table->lookup(tuning::Op::SplitSegment, tuning::Shape::Net,
-                      hc_->bridge().size(), max_bridge_count_);
-    if (c.has_value() && c->algo == tuning::algo::kSpSegmented) {
-        return c->segment_bytes;
-    }
-    return 0;
-}
-
-void AllgatherChannel::bridge_exchange(BridgeAlgo algo,
-                                       std::size_t seg_override) {
+void AllgatherChannel::bridge_exchange(BridgeAlgo algo) {
     const Comm& bridge = hc_->bridge();
     const int bp = bridge.size();
     const int br = bridge.rank();
-    if (bp <= 1) return;
-    minimpi::RankCtx& ctx = bridge.ctx();
 
-    // An explicit set_pipeline_segment() wins; then the split-phase tuned
-    // chunk; then the tuned/heuristic resolution below.
-    std::size_t seg =
-        pipeline_segment_ != 0 ? pipeline_segment_ : seg_override;
+    // An explicit set_pipeline_segment() wins over the tuned/heuristic
+    // resolution below.
+    std::size_t seg = pipeline_segment_;
     if (algo == BridgeAlgo::Auto) algo = tuned_bridge_algo(seg);
     // Neighbor exchange pairs up adjacent blocks: it needs an even bridge
     // and abutting slices (one leader per node). The fallback is the
@@ -243,11 +218,7 @@ void AllgatherChannel::bridge_exchange(BridgeAlgo algo,
         algo = BridgeAlgo::Allgatherv;
     }
 
-    TraceSpan span(ctx, hytrace::Phase::Bridge, "bridge_exchange");
-    span.set_algo(bridge_algo_name(algo));
-    span.set_comm(bp, br);
-    BridgeBytesScope bytes_scope(ctx, span);
-
+    BridgeSpan span(bridge, bridge_algo_name(algo));
     switch (algo) {
         case BridgeAlgo::Auto:  // resolved above; unreachable
             return;
@@ -345,20 +316,8 @@ void AllgatherChannel::bridge_exchange(BridgeAlgo algo,
             // the release phase makes every rank wait for the primary's
             // signal, which happens-after its whole-block writes.
             if (!hc_->is_primary_leader()) return;
-            const int nn = hc_->num_nodes();
-            const int p = hc_->world().size();
-            std::vector<std::size_t> displs(static_cast<std::size_t>(nn));
-            std::vector<std::size_t> counts(static_cast<std::size_t>(nn));
-            for (int n = 0; n < nn; ++n) {
-                const auto s0 = static_cast<std::size_t>(hc_->node_offset(n));
-                const auto s1 = static_cast<std::size_t>(
-                    n + 1 < nn ? hc_->node_offset(n + 1) : p);
-                displs[static_cast<std::size_t>(n)] = slot_offset_[s0];
-                counts[static_cast<std::size_t>(n)] =
-                    slot_offset_[s1] - slot_offset_[s0];
-            }
-            detail::node_block_bruck(bridge, buf_.data(), displs, counts,
-                                     0x50);
+            detail::node_block_bruck(bridge, buf_.data(), node_displs_,
+                                     node_counts_, 0x50);
             return;
         }
         case BridgeAlgo::NeighborExchange: {
@@ -426,155 +385,80 @@ void AllgatherChannel::bridge_exchange(BridgeAlgo algo,
     }
 }
 
-bool AllgatherChannel::robust_bridge_exchange() {
-    const Comm& bridge = hc_->bridge();
-    const int bp = bridge.size();
-    const int br = bridge.rank();
-    if (bp <= 1) return true;
-    minimpi::RankCtx& ctx = bridge.ctx();
-    TraceSpan span(ctx, hytrace::Phase::Bridge, "robust_bridge_exchange");
-    span.set_algo("pairwise_reliable");
-    span.set_comm(bp, br);
-    BridgeBytesScope bytes_scope(ctx, span);
-    const RobustConfig& cfg = *ctx.robust_cfg;
-    const std::uint64_t gen = gen64();
-    bool ok = true;
+bool AllgatherChannel::reliable_ring(std::span<const std::size_t> counts,
+                                     std::span<const std::size_t> displs,
+                                     std::uint64_t gen) {
     // Pairwise ring: round k sends my slice to (br+k) while receiving
     // (br-k)'s slice — each round is one full-duplex reliable transfer, so
     // dropped/corrupted frames are retried instead of hanging the ring.
-    // On exhaustion we keep serving later rounds (the engine always
-    // terminates) and let agree_failure publish the verdict.
-    for (int k = 1; k < bp; ++k) {
-        const int dst = (br + k) % bp;
-        const int src = (br - k + bp) % bp;
-        const auto sb = static_cast<std::size_t>(br);
+    const auto me = static_cast<std::size_t>(hc_->bridge().rank());
+    return round_.ring(robust::kOpAllgather, gen, [&](int, int src) {
         const auto rb = static_cast<std::size_t>(src);
-        if (!robust::reliable_xfer(
-                bridge, buf_.at(bridge_displs_[sb]), bridge_counts_[sb], dst,
-                buf_.at(bridge_displs_[rb]), bridge_counts_[rb], src,
-                robust::kOpAllgather + ((k - 1) & 0xFF), gen, cfg, stats_)) {
-            ok = false;
-        }
-    }
-    return ok;
+        return RingLeg{buf_.at(displs[me]), counts[me], buf_.at(displs[rb]),
+                       counts[rb]};
+    });
 }
 
-bool AllgatherChannel::run_pipelined(const PipelinePlan& plan,
-                                     const RobustConfig* cfg) {
-    const std::size_t chunk = plan.chunk_bytes;
-    const int nn = hc_->num_nodes();
-    const int p = hc_->world().size();
-    // Per-node block lengths from the slot-major layout — available on
-    // every rank (with one leader per node, required by plan(), the node
-    // block IS the leader's bridge slice).
-    std::vector<std::size_t> node_len(static_cast<std::size_t>(nn));
-    std::size_t max_len = 0;
-    for (int n = 0; n < nn; ++n) {
-        const auto s0 = static_cast<std::size_t>(hc_->node_offset(n));
-        const auto s1 = static_cast<std::size_t>(
-            n + 1 < nn ? hc_->node_offset(n + 1) : p);
-        node_len[static_cast<std::size_t>(n)] =
-            slot_offset_[s1] - slot_offset_[s0];
-        max_len = std::max(max_len, node_len[static_cast<std::size_t>(n)]);
+bool AllgatherChannel::bridge(BridgeAlgo algo) {
+    if (round_.robust() == nullptr) {
+        bridge_exchange(algo);
+        return true;
     }
-    const std::size_t nchunks = (max_len + chunk - 1) / chunk;
+    BridgeSpan span(hc_->bridge(), "pairwise_reliable",
+                    "robust_bridge_exchange");
+    return reliable_ring(bridge_counts_, bridge_displs_, round_.gen());
+}
+
+bool AllgatherChannel::run_pipelined(const PipelinePlan& plan) {
+    const std::size_t chunk = plan.chunk_bytes;
     // Pass c ships slice [c*chunk, (c+1)*chunk) of EVERY node block at
     // once, so the bridge stays balanced (full-duplex) and each pass lands
     // as one node-level release flag. Pass lengths taper as short blocks
-    // run dry; every rank derives the identical vector.
+    // run dry; every rank derives the identical vector (with one leader per
+    // node, required by plan(), the node block IS the leader's slice).
+    const std::size_t nchunks = (max_node_block_ + chunk - 1) / chunk;
     std::vector<std::size_t> pass_len(nchunks, 0);
     for (std::size_t c = 0; c < nchunks; ++c) {
         const std::size_t off = c * chunk;
-        for (int n = 0; n < nn; ++n) {
-            const std::size_t len = node_len[static_cast<std::size_t>(n)];
+        for (const std::size_t len : node_counts_) {
             if (off < len) pass_len[c] += std::min(chunk, len - off);
         }
     }
-    if (!hc_->is_leader()) {
-        stager_.consume_chunks(sync_, pass_len, plan.leaf);
-        return true;
-    }
-    const Comm& bridge = hc_->bridge();
-    const int bp = bridge.size();
-    const int br = bridge.rank();
-    minimpi::RankCtx& ctx = bridge.ctx();
-    const int node_slot = sync_.chunk_slot_node();
-    TraceSpan span(ctx, hytrace::Phase::Bridge, "bridge_exchange");
-    span.set_algo(cfg != nullptr ? "reliable_chunked" : "chunked_allgatherv");
-    span.set_comm(bp, br);
-    span.set_chunks(nchunks);
-    HYTRACE_COUNTER(ctx, chunks, nchunks);
-    BridgeBytesScope bytes_scope(ctx, span);
-    bool ok = true;
-    std::vector<std::size_t> counts(static_cast<std::size_t>(bp));
-    std::vector<std::size_t> displs(static_cast<std::size_t>(bp));
-    for (std::size_t c = 0; c < nchunks; ++c) {
+    std::vector<std::size_t> counts(bridge_counts_.size());
+    std::vector<std::size_t> displs(bridge_counts_.size());
+    return round_.chunked(plan, pass_len, hc_->is_leader(),
+                          "chunked_allgatherv", [&](std::size_t c) {
         const std::size_t off = c * chunk;
-        for (std::size_t n = 0; n < static_cast<std::size_t>(bp); ++n) {
+        for (std::size_t n = 0; n < counts.size(); ++n) {
             const std::size_t len = bridge_counts_[n];
             counts[n] = off < len ? std::min(chunk, len - off) : 0;
             displs[n] = bridge_displs_[n] + std::min(off, len);
         }
-        if (cfg == nullptr) {
-            minimpi::allgatherv(bridge, minimpi::kInPlace,
-                                counts[static_cast<std::size_t>(br)],
-                                buf_.data(), counts, displs,
-                                minimpi::Datatype::Byte);
-        } else {
+        if (round_.robust() != nullptr) {
             // Each chunk's frames live under their own generation stamp so
             // a duplicated frame of chunk i can never be accepted as chunk
             // j (varying the op code instead would wrap at 256 chunks).
-            const std::uint64_t gen =
-                robust::chunked_gen(gen64(), static_cast<std::uint64_t>(c));
-            for (int k = 1; k < bp; ++k) {
-                const int dst = (br + k) % bp;
-                const int src = (br - k + bp) % bp;
-                const auto sb = static_cast<std::size_t>(br);
-                const auto rb = static_cast<std::size_t>(src);
-                if (!robust::reliable_xfer(
-                        bridge, buf_.at(displs[sb]), counts[sb], dst,
-                        buf_.at(displs[rb]), counts[rb], src,
-                        robust::kOpAllgather + ((k - 1) & 0xFF), gen, *cfg,
-                        stats_)) {
-                    ok = false;
-                }
-            }
+            return reliable_ring(counts, displs,
+                                 robust::chunked_gen(round_.gen(), c));
         }
-        // Publish this pass down the node/socket tree: the consumers'
-        // leaf phase for pass c overlaps our bridge transfer of pass c+1.
-        sync_.chunk_signal(node_slot);
-    }
-    return ok;
+        minimpi::allgatherv(
+            hc_->bridge(), minimpi::kInPlace,
+            counts[static_cast<std::size_t>(hc_->bridge().rank())],
+            buf_.data(), counts, displs, minimpi::Datatype::Byte);
+        return true;
+    });
 }
 
-void AllgatherChannel::downgrade_to_flat(bool refill) {
-    const Comm& world = hc_->world();
-    minimpi::RankCtx& ctx = world.ctx();
-    degraded_flat_ = true;
-    stats_.flat_downgrades += 1;
-    ctx.robust_stats.flat_downgrades += 1;
-    minimpi::trace_instant(ctx, hytrace::Phase::Robust, "flat_downgrade");
-    HYTRACE_COUNTER(ctx, degradations, 1);
-    // Counts by world rank, displacements preserving the slot-major layout
-    // so block_of()/data() keep the exact same offsets.
-    flat_counts_ = block_bytes_;
+void AllgatherChannel::make_flat() {
+    // Displacements by world rank preserve the slot-major layout, so
+    // block_of()/data() keep the exact same offsets.
     flat_displs_.resize(block_bytes_.size());
     for (std::size_t r = 0; r < block_bytes_.size(); ++r) {
         flat_displs_[r] = slot_offset_[static_cast<std::size_t>(
             hc_->slot_of(static_cast<int>(r)))];
     }
-    if (ctx.payload_mode == minimpi::PayloadMode::Real) {
+    if (hc_->world().ctx().payload_mode == minimpi::PayloadMode::Real) {
         flat_buf_.assign(total_bytes_, std::byte{0});
-    }
-    if (refill) {
-        // Mid-run downgrade: this generation's contributions were already
-        // written into the (still valid) shared segment; salvage our own
-        // block and redo the whole exchange flat so the result stays
-        // byte-identical to pure MPI.
-        const auto me = static_cast<std::size_t>(world.rank());
-        ctx.copy_bytes(flat_at(flat_displs_[me]), buf_.at(flat_displs_[me]),
-                       block_bytes_[me]);
-        run_flat();
     }
 }
 
@@ -582,220 +466,45 @@ void AllgatherChannel::run_flat() {
     const Comm& world = hc_->world();
     minimpi::allgatherv(
         world, minimpi::kInPlace,
-        block_bytes_[static_cast<std::size_t>(world.rank())], flat_at(0),
-        flat_counts_, flat_displs_, minimpi::Datatype::Byte);
+        block_bytes_[static_cast<std::size_t>(world.rank())], data(),
+        block_bytes_, flat_displs_, minimpi::Datatype::Byte);
 }
 
 void AllgatherChannel::run(SyncPolicy sync, BridgeAlgo algo) {
-    minimpi::RankCtx& ctx = hc_->world().ctx();
-    TraceSpan root(ctx, hytrace::Phase::Coll, "hy_allgather");
-    root.set_coll("Hy_Allgather");
-    root.set_bytes(total_bytes_);
-    root.set_comm(hc_->world().size(), hc_->world().rank());
-    const RobustConfig* cfg = ctx.robust_cfg;
-    const bool robust = cfg != nullptr && cfg->enabled;
-    ++generation_;
-    if (degraded_flat_) {
-        // Rung 2 reached earlier: callers already write through my_block()
-        // into the private buffer; one flat allgatherv completes the round.
+    RoundSteps s;
+    s.all_leaders = true;
+    s.bytes = total_bytes_;
+    s.staging = staging_;
+    s.chunk_bytes = chunk_bytes_;
+    s.flat = [this] { run_flat(); };
+    s.bridge = [this, algo] { return bridge(algo); };
+    s.chunked = [this](const PipelinePlan& pp, TraceSpan&) {
+        return run_pipelined(pp);
+    };
+    s.refill = [this] {
+        // Mid-run downgrade: this generation's contributions were already
+        // written into the (still valid) shared segment; salvage our own
+        // block and redo the whole exchange flat so the result stays
+        // byte-identical to pure MPI.
+        make_flat();
+        const auto me = static_cast<std::size_t>(hc_->world().rank());
+        hc_->world().ctx().copy_bytes(at(flat_displs_[me]),
+                                      buf_.at(flat_displs_[me]),
+                                      block_bytes_[me]);
         run_flat();
-        return;
-    }
-    if (hc_->num_nodes() == 1) {
-        // Fig. 4 lines 29-30/37-38: single node — one on-node sync makes
-        // every partition visible; there is no inter-node traffic at all.
-        sync_.full_sync(sync);
-        // On-node NUMA phase: remote-socket readers pay for pulling the
-        // gathered result across the socket boundary (or their socket
-        // leader mirrors it once when staging is selected).
-        stager_.distribute(total_bytes_, staging_);
-        return;
-    }
-    // Fig. 4 line 25/34: leaders wait until all partitions on their node
-    // are initialized.
-    sync_.ready_phase(sync);
-    const PipelinePlan pp =
-        stager_.plan(staging_, total_bytes_, /*multi_node=*/true, chunk_bytes_);
-    if (pp.pipelined) {
-        root.set_algo("pipelined");
-        const bool ok = run_pipelined(pp, robust ? cfg : nullptr);
-        if (robust && hc_->is_leader() &&
-            robust::agree_failure(hc_->bridge(), !ok, gen64(), *cfg, stats_)) {
-            fail_shared_->fail_gen.store(gen64());
-        }
-        // The trailing release keeps the degradation ladder and release
-        // epochs identical to the whole-message rounds (it is one fixed-cost
-        // flag wave: the per-chunk flags already published the data).
-        sync_.release_phase(sync);
-        if (robust && fail_shared_ != nullptr &&
-            fail_shared_->fail_gen.load() == gen64()) {
-            downgrade_to_flat(/*refill=*/true);
-        }
-        return;
-    }
-    if (!robust) {
-        if (hc_->is_leader()) {
-            bridge_exchange(algo);
-        }
-        // Fig. 4 line 27/35: children wait until the exchange finished.
-        sync_.release_phase(sync);
-        stager_.distribute(total_bytes_, staging_);
-        return;
-    }
-    if (hc_->is_leader()) {
-        const bool ok = robust_bridge_exchange();
-        // Every bridge spans every node (leaders_per_node is clamped to the
-        // smallest node), so a per-bridge agreement reaches every node via
-        // its member leader; the failure word makes it node-visible.
-        if (robust::agree_failure(hc_->bridge(), !ok, gen64(), *cfg, stats_)) {
-            fail_shared_->fail_gen.store(gen64());
-        }
-    }
-    sync_.release_phase(sync);
-    if (fail_shared_->fail_gen.load() == gen64()) {
-        downgrade_to_flat(/*refill=*/true);
-    }
-}
-
-void AllgatherChannel::begin(SyncPolicy sync, BridgeAlgo algo) {
-    minimpi::RankCtx& ctx = hc_->world().ctx();
-    TraceSpan root(ctx, hytrace::Phase::Coll, "hy_allgather_begin");
-    root.set_coll("Hy_Allgather_begin");
-    root.set_bytes(total_bytes_);
-    root.set_comm(hc_->world().size(), hc_->world().rank());
-    const RobustConfig* cfg = ctx.robust_cfg;
-    const bool robust = cfg != nullptr && cfg->enabled;
-    ++generation_;
-    if (degraded_flat_) {
-        // Flat path: the exchange is deferred to finish() so callers still
-        // get a compute window on their own partition in between.
-        began_flat_ = true;
-        return;
-    }
-    if (hc_->num_nodes() == 1) {
-        sync_.ready_phase(sync);
-        return;
-    }
-    sync_.ready_phase(sync);
-    if (hc_->is_leader()) {
-        // CAUTION: the leader's compute window only opens after its
-        // transfers; children's opens immediately — that asymmetry is the
-        // paper's "idle cores" discussion and exactly what overlap buys.
-        if (!robust) {
-            bridge_exchange(algo);
-        } else {
-            const bool ok = robust_bridge_exchange();
-            if (robust::agree_failure(hc_->bridge(), !ok, gen64(), *cfg,
-                                      stats_)) {
-                fail_shared_->fail_gen.store(gen64());
-            }
-        }
-    }
+    };
+    round_.run(sync, total_bytes_, s);
 }
 
 minimpi::CollRequest AllgatherChannel::start(SyncPolicy sync,
                                              BridgeAlgo algo) {
-    const Comm& world = hc_->world();
-    minimpi::RankCtx& ctx = world.ctx();
-    if (round_active_) {
-        throw minimpi::RequestError(
-            "Hy_Allgather split-phase round already in flight on this "
-            "channel; wait() on it before the next start()");
-    }
-    const RobustConfig* cfg = ctx.robust_cfg;
-    if (cfg != nullptr && cfg->enabled && !degraded_flat_) {
-        // The reliable (ARQ) frame paths are main-clock by design: complete
-        // the whole round at post and hand back a finished request.
-        run(sync, algo);
-        return minimpi::CollRequest(minimpi::detail::make_complete_icoll(
-            world, "hy_iallgather", {}));
-    }
-    TraceSpan root(ctx, hytrace::Phase::Coll, "hy_allgather_start");
-    root.set_coll("Hy_Allgather_start");
-    root.set_bytes(total_bytes_);
-    root.set_comm(world.size(), world.rank());
-    ++generation_;
-    round_active_ = true;
-    if (degraded_flat_) {
-        // Flat path: defer the exchange to wait() so callers still get a
-        // compute window on their own partition in between.
-        return minimpi::CollRequest(minimpi::detail::make_complete_icoll(
-            world, "hy_iallgather", [this] {
-                round_active_ = false;
-                run_flat();
-            }));
-    }
-    started_sync_ = sync;
-    auto on_wait = [this] {
-        round_active_ = false;
-        minimpi::RankCtx& wctx = hc_->world().ctx();
-        TraceSpan fin(wctx, hytrace::Phase::Coll, "hy_allgather_finish");
-        fin.set_coll("Hy_Allgather_finish");
-        fin.set_comm(hc_->world().size(), hc_->world().rank());
-        sync_.release_phase(started_sync_);
-        // Same rationale as finish(): children already overlapped, so a
-        // staged mirror would re-serialize them behind the socket leader.
-        stager_.distribute(total_bytes_, SocketStaging::Flat);
-    };
-    if (hc_->num_nodes() == 1) {
-        // Single node: there is no bridge traffic to overlap — defer the
-        // WHOLE publishing sync to wait(). Same one-barrier shape as run()
-        // (exact vtime identity on 1-socket nodes) and the widest compute
-        // window.
-        return minimpi::CollRequest(minimpi::detail::make_complete_icoll(
-            world, "hy_iallgather", [this] {
-                round_active_ = false;
-                minimpi::RankCtx& wctx = hc_->world().ctx();
-                TraceSpan fin(wctx, hytrace::Phase::Coll,
-                              "hy_allgather_finish");
-                fin.set_coll("Hy_Allgather_finish");
-                fin.set_comm(hc_->world().size(), hc_->world().rank());
-                sync_.full_sync(started_sync_);
-                stager_.distribute(total_bytes_, SocketStaging::Flat);
-            }));
-    }
-    sync_.ready_phase(sync);
-    if (!hc_->is_leader()) {
-        return minimpi::CollRequest(minimpi::detail::make_complete_icoll(
-            world, "hy_iallgather", std::move(on_wait)));
-    }
-    started_algo_ = algo;
-    started_seg_ = tuned_split_segment();
-    if (task_ == nullptr) {
-        // One-off: the engine worker and private matching context persist
-        // across rounds (the lazy creation is collective over the bridge —
-        // every leader's first start() happens in the same round).
-        task_ = minimpi::detail::create_icoll(
-            hc_->bridge(), "hy_iallgather",
-            [this] { bridge_exchange(started_algo_, started_seg_); },
-            std::move(on_wait));
-    }
-    minimpi::detail::arm_icoll(*task_);
-    minimpi::detail::drive_icoll(*task_);
-    return minimpi::CollRequest(task_);
-}
-
-void AllgatherChannel::finish(SyncPolicy sync) {
-    minimpi::RankCtx& fctx = hc_->world().ctx();
-    TraceSpan root(fctx, hytrace::Phase::Coll, "hy_allgather_finish");
-    root.set_coll("Hy_Allgather_finish");
-    root.set_comm(hc_->world().size(), hc_->world().rank());
-    if (began_flat_) {
-        began_flat_ = false;
-        run_flat();
-        return;
-    }
-    sync_.release_phase(sync);
-    // The split-phase variant keeps the flat on-node distribution: children
-    // already overlap compute with the leaders' transfers, and a staged
-    // mirror would re-serialize them behind the socket leader.
-    stager_.distribute(total_bytes_, SocketStaging::Flat);
-    minimpi::RankCtx& ctx = hc_->world().ctx();
-    const RobustConfig* cfg = ctx.robust_cfg;
-    if (cfg != nullptr && cfg->enabled && hc_->num_nodes() > 1 &&
-        fail_shared_ != nullptr && fail_shared_->fail_gen.load() == gen64()) {
-        downgrade_to_flat(/*refill=*/true);
-    }
+    RoundSteps s;
+    s.all_leaders = true;
+    s.bytes = total_bytes_;
+    s.flat = [this] { run_flat(); };
+    s.bridge = [this, algo] { return bridge(algo); };
+    s.blocking = [this, sync, algo] { run(sync, algo); };
+    return round_.start(sync, total_bytes_, s);
 }
 
 namespace detail {

@@ -1,13 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <span>
 
-#include "hybrid/numa_stage.h"
-#include "hybrid/shared_buffer.h"
-#include "hybrid/sync.h"
-#include "minimpi/icoll.h"
-#include "robust/robust.h"
+#include "hybrid/round.h"
 
 namespace hympi {
 
@@ -74,9 +69,8 @@ public:
     /// hybrid->flat downgrade this transparently redirects into the rank's
     /// private buffer (same slot-major offsets), so readers never notice.
     std::byte* block_of(int comm_rank) const {
-        const std::size_t off =
-            slot_offset_[static_cast<std::size_t>(hc_->slot_of(comm_rank))];
-        return degraded_flat_ ? flat_at(off) : buf_.at(off);
+        return at(
+            slot_offset_[static_cast<std::size_t>(hc_->slot_of(comm_rank))]);
     }
     std::size_t block_size(int comm_rank) const {
         return block_bytes_[static_cast<std::size_t>(comm_rank)];
@@ -84,9 +78,7 @@ public:
 
     /// Whole result buffer (node-major slot order): the node-shared segment,
     /// or the private flat copy after a downgrade.
-    std::byte* data() const {
-        return degraded_flat_ ? flat_at(0) : buf_.data();
-    }
+    std::byte* data() const { return at(0); }
     std::size_t total_bytes() const { return total_bytes_; }
 
     /// Paper Sect. 6's datatype alternative for non-SMP placements:
@@ -111,40 +103,31 @@ public:
     /// After a hybrid->flat downgrade every rank owns a private copy, so
     /// there is nothing to quiesce.
     void quiesce(SyncPolicy sync = SyncPolicy::Barrier) {
-        if (!degraded_flat_) sync_.full_sync(sync);
+        if (!round_.degraded_flat()) round_.sync().full_sync(sync);
     }
 
     /// Resilience counters of this channel (robust mode only; all zero on
     /// the fault-free fast path).
-    const RobustStats& robust_stats() const { return stats_; }
+    const RobustStats& robust_stats() const { return round_.stats(); }
 
     /// Rung 2 of the degradation ladder: the channel has fallen back to a
     /// flat MPI_Allgatherv over the full communicator (exhausted bridge
     /// retries or SHM allocation failure). Sticky for the channel lifetime.
-    bool degraded_flat() const { return degraded_flat_; }
+    bool degraded_flat() const { return round_.degraded_flat(); }
 
-    /// Split-phase variant implementing the overlap the paper's conclusion
-    /// describes: "it is straightforward to let the on-node MPI processes
-    /// overlap with the network traffic by working on their own data
-    /// regions". begin() runs the ready sync and — on leaders — the bridge
-    /// exchange; between begin() and finish() every rank may compute on its
-    /// OWN partition (children genuinely overlap the leaders' transfers);
-    /// finish() runs the release sync, after which all blocks are readable.
-    void begin(SyncPolicy sync = SyncPolicy::Barrier,
-               BridgeAlgo algo = BridgeAlgo::Auto);
-    void finish(SyncPolicy sync = SyncPolicy::Barrier);
-
-    /// Nonblocking split-phase round on the progress engine: runs the ready
-    /// sync, posts the leaders' bridge exchange as an engine task (charged
-    /// to the request's sub-clock, so it overlaps caller compute on ANY
-    /// rank — unlike begin(), which blocks the leader until its transfers
-    /// are done), and defers the release sync + on-node NUMA copy to the
-    /// returned request's wait(). The channel is the persistent descriptor:
-    /// the HierComm, SHM window, SocketStager, bridge layout and the
-    /// leader's engine worker are all cached across start() calls — only
-    /// one round may be in flight per channel at a time (RequestError
-    /// otherwise). Robust mode completes synchronously at post (the
-    /// reliable frame paths are main-clock by design).
+    /// Nonblocking split-phase round implementing the overlap the paper's
+    /// conclusion describes ("it is straightforward to let the on-node MPI
+    /// processes overlap with the network traffic by working on their own
+    /// data regions"): runs the ready sync, posts the leaders' bridge
+    /// exchange as an engine task (charged to the request's sub-clock, so
+    /// it overlaps caller compute on ANY rank), and defers the release sync
+    /// + on-node NUMA copy to the returned request's wait(). Between start()
+    /// and wait() every rank may compute on its OWN partition. The channel
+    /// is the persistent descriptor: the HierComm, SHM window, SocketStager,
+    /// bridge layout and the leader's engine worker are all cached across
+    /// start() calls — only one round may be in flight per channel at a
+    /// time (RequestError otherwise). Robust mode completes synchronously at
+    /// post (the reliable frame paths are main-clock by design).
     minimpi::CollRequest start(SyncPolicy sync = SyncPolicy::Barrier,
                                BridgeAlgo algo = BridgeAlgo::Auto);
 
@@ -172,56 +155,50 @@ public:
 
 private:
     void init_layout(std::span<const std::size_t> bytes_per_rank);
-    /// @p seg_override: a split-phase segment choice (tuning::Op::
-    /// SplitSegment) applied when set_pipeline_segment() has not pinned one.
-    void bridge_exchange(BridgeAlgo algo, std::size_t seg_override = 0);
-    /// Resolve BridgeAlgo::Auto via the profile's decision table, keyed by
-    /// (bridge size, largest node-block byte count). May set @p seg when
-    /// the table tuned a pipeline segment size.
-    BridgeAlgo tuned_bridge_algo(std::size_t& seg) const;
-    /// Tuned chunk size of the split-phase (engine-driven) bridge exchange
-    /// (tuning::Op::SplitSegment); 0 = no tuned entry / "whole" = keep the
-    /// per-algorithm heuristic. Tables without split_segment rows — all
-    /// currently baked ones — leave the split phase identical to run().
-    std::size_t tuned_split_segment() const;
-
-    /// Robust-mode leader exchange: pairwise ring of reliable (ARQ)
-    /// transfers over the bridge. Returns false when any transfer exhausted
-    /// its retry budget (the rank keeps serving peers regardless, so
-    /// everyone terminates).
-    bool robust_bridge_exchange();
-    /// The chunked single-copy round: the leader's exchange runs in chunk
-    /// passes (pass c ships bytes [c*chunk, (c+1)*chunk) of every node
-    /// block), each pass published down the node/socket tree by its own
-    /// release flag. Returns the robust failure verdict (always true on
-    /// the fast path).
-    bool run_pipelined(const PipelinePlan& plan, const RobustConfig* cfg);
-    /// Rung 2: collective over world. Marks the channel flat, builds the
-    /// private slot-major buffer, and — when @p refill — re-runs this
-    /// generation's exchange as a flat allgatherv so the result is still
-    /// byte-identical to pure MPI.
-    void downgrade_to_flat(bool refill);
-    /// Flat MPI_Allgatherv over world into the private buffer (counts per
-    /// world rank, displacements preserving the slot-major layout).
-    void run_flat();
-    /// Channel-unique generation stamp: (channel uid << 32) | round.
-    std::uint64_t gen64() const {
-        return (chan_uid_ << 32) | (generation_ & 0xFFFFFFFFULL);
-    }
-    std::byte* flat_at(std::size_t off) const {
+    /// Byte @p off of the result: the node-shared segment, or the private
+    /// flat copy after a downgrade (null-safe).
+    std::byte* at(std::size_t off) const {
+        if (!round_.degraded_flat()) return buf_.at(off);
         return flat_buf_.empty()
                    ? nullptr
                    : const_cast<std::byte*>(flat_buf_.data()) + off;
     }
+    /// The leaders' plain whole-message exchange, by algorithm.
+    void bridge_exchange(BridgeAlgo algo);
+    /// Resolve BridgeAlgo::Auto via the profile's decision table, keyed by
+    /// (bridge size, largest node-block byte count). May set @p seg when
+    /// the table tuned a pipeline segment size.
+    BridgeAlgo tuned_bridge_algo(std::size_t& seg) const;
+    /// A leader's whole-message leg: the tuned exchange, or in robust mode
+    /// the pairwise ring of reliable (ARQ) transfers.
+    bool bridge(BridgeAlgo algo);
+    /// Robust pairwise ring over the given per-bridge-rank slices.
+    bool reliable_ring(std::span<const std::size_t> counts,
+                       std::span<const std::size_t> displs,
+                       std::uint64_t gen);
+    /// The chunked single-copy round: the leader's exchange runs in chunk
+    /// passes (pass c ships bytes [c*chunk, (c+1)*chunk) of every node
+    /// block), each pass published down the node/socket tree by its own
+    /// release flag.
+    bool run_pipelined(const PipelinePlan& plan);
+    /// Rung 2 (the round already counted the downgrade): build the private
+    /// slot-major buffer, counts per world rank and displacements keeping
+    /// the slot-major offsets.
+    void make_flat();
+    /// Flat MPI_Allgatherv over world into the private buffer.
+    void run_flat();
 
     const HierComm* hc_ = nullptr;
     NodeSharedBuffer buf_;
-    NodeSync sync_;
-    SocketStager stager_;
+    HybridRound round_;
     SocketStaging staging_ = SocketStaging::Auto;
     std::size_t total_bytes_ = 0;
     std::vector<std::size_t> block_bytes_;  ///< per comm rank
     std::vector<std::size_t> slot_offset_;  ///< per slot, bytes into buffer
+    /// Whole node blocks in node-major order (rank-uniform): the LocBruck
+    /// exchange and the chunked passes ship these.
+    std::vector<std::size_t> node_displs_;
+    std::vector<std::size_t> node_counts_;
 
     /// One-off bridge parameters for my leader role (Fig. 4: "the omitted
     /// computation of ... received count and displacement ... is a one-off").
@@ -239,29 +216,11 @@ private:
     std::size_t pipeline_segment_ = 0;  ///< 0 = tuned/default heuristic
     std::size_t chunk_bytes_ = 0;       ///< explicit pipeline chunk override
 
-    /// Persistent engine task of the leader's split-phase bridge exchange
-    /// (lazily created at the first start(); re-armed on every later one).
-    std::shared_ptr<minimpi::detail::IcollState> task_;
-    BridgeAlgo started_algo_ = BridgeAlgo::Auto;  ///< algo of the armed round
-    SyncPolicy started_sync_ = SyncPolicy::Barrier;
-    std::size_t started_seg_ = 0;  ///< tuned split-segment of the armed round
-    /// A split-phase round is in flight on THIS rank (children have no
-    /// engine task, so the guard cannot live on task_ alone).
-    bool round_active_ = false;
-
     /// Derived datatype mapping slot-major storage to rank order (one-off).
     minimpi::Layout rank_order_layout_;
 
-    // --- resilience state (robust mode only; inert on the fast path) ---
-    std::uint64_t chan_uid_ = 0;    ///< program-order channel id
-    std::uint64_t generation_ = 0;  ///< run()/begin() round counter
-    bool degraded_flat_ = false;    ///< sticky hybrid->flat downgrade
-    bool began_flat_ = false;       ///< begin() ran on the flat path
-    std::vector<std::byte> flat_buf_;          ///< private slot-major copy
-    std::vector<std::size_t> flat_counts_;     ///< per world rank, bytes
-    std::vector<std::size_t> flat_displs_;     ///< per world rank, bytes
-    std::shared_ptr<NodeFailWord> fail_shared_;  ///< per node
-    RobustStats stats_;
+    std::vector<std::byte> flat_buf_;       ///< private slot-major copy
+    std::vector<std::size_t> flat_displs_;  ///< per world rank, bytes
 };
 
 /// Default segment size for BridgeAlgo::Pipelined, used when neither the

@@ -2,11 +2,7 @@
 
 #include <optional>
 
-#include "hybrid/numa_stage.h"
-#include "hybrid/shared_buffer.h"
-#include "hybrid/sync.h"
-#include "minimpi/icoll.h"
-#include "robust/robust.h"
+#include "hybrid/round.h"
 
 namespace hympi {
 
@@ -38,15 +34,9 @@ public:
     /// Staging slot for the NEXT run(); only the root's writes matter.
     /// After a hybrid->flat downgrade this redirects into the rank's
     /// private double buffer.
-    std::byte* write_buffer() const {
-        return degraded_flat_ ? flat_at((epoch_ % 2) * bytes_padded_)
-                              : buf_.at((epoch_ % 2) * bytes_padded_);
-    }
+    std::byte* write_buffer() const { return slot(epoch_ % 2); }
     /// Slot broadcast by the most recent run().
-    std::byte* read_buffer() const {
-        return degraded_flat_ ? flat_at(((epoch_ + 1) % 2) * bytes_padded_)
-                              : buf_.at(((epoch_ + 1) % 2) * bytes_padded_);
-    }
+    std::byte* read_buffer() const { return slot((epoch_ + 1) % 2); }
     std::size_t size() const { return bytes_; }
 
     /// The repeated collective. @p root is a rank of hc.world(); only the
@@ -80,10 +70,10 @@ public:
                                std::optional<const void*> fill = std::nullopt);
 
     /// Resilience counters of this channel (robust mode only).
-    const RobustStats& robust_stats() const { return stats_; }
+    const RobustStats& robust_stats() const { return round_.stats(); }
     /// The channel has fallen back to a flat MPI_Bcast over the full
     /// communicator. Sticky for the channel lifetime.
-    bool degraded_flat() const { return degraded_flat_; }
+    bool degraded_flat() const { return round_.degraded_flat(); }
 
     /// On-node NUMA policy for the post-exchange read phase (inert on
     /// 1-socket clusters). Default Auto consults the tuned table.
@@ -100,64 +90,32 @@ public:
     const HierComm& hier() const { return *hc_; }
 
 private:
-    /// Rung 2: mark flat, build the private double buffer, optionally redo
-    /// this generation's broadcast flat (salvaging the root's payload from
-    /// the still-valid shared slot).
-    void downgrade_to_flat(int root, bool refill);
-    /// Flat MPI_Bcast over world out of the private write slot.
-    void run_flat(int root);
-    std::uint64_t gen64() const {
-        return (chan_uid_ << 32) | (generation_ & 0xFFFFFFFFULL);
-    }
-    std::byte* flat_at(std::size_t off) const {
+    /// Slot @p i of the double buffer: node-shared, or the private copy
+    /// after a hybrid->flat downgrade (null-safe).
+    std::byte* slot(std::uint64_t i) const {
+        const std::size_t off = static_cast<std::size_t>(i) * bytes_padded_;
+        if (!round_.degraded_flat()) return buf_.at(off);
         return flat_buf_.empty()
                    ? nullptr
                    : const_cast<std::byte*>(flat_buf_.data()) + off;
     }
-
-    /// The chunked single-copy round: per-chunk bridge broadcast at the
-    /// primary leaders, per-chunk release flags down the node/socket tree.
-    void run_pipelined(int root_node, const PipelinePlan& plan,
-                       const RobustConfig* cfg);
+    /// The steps run() and start() share for a round rooted at @p root.
+    RoundSteps steps(int root, SyncPolicy sync, bool fill, bool i_fill);
+    /// One bridge broadcast of @p len bytes at @p p from @p root_node: the
+    /// vendor bcast, or in robust mode a reliable linear fan-out.
+    bool leg(std::byte* p, std::size_t len, int root_node, std::uint64_t gen);
+    /// Flat MPI_Bcast over world out of the private write slot.
+    void run_flat(int root);
 
     const HierComm* hc_ = nullptr;
     NodeSharedBuffer buf_;
-    NodeSync sync_;
-    SocketStager stager_;
+    HybridRound round_;
     SocketStaging staging_ = SocketStaging::Auto;
     std::size_t chunk_bytes_ = 0;  ///< explicit pipeline chunk override
     std::size_t bytes_ = 0;
     std::size_t bytes_padded_ = 0;  ///< slot stride (cache-line aligned)
     std::uint64_t epoch_ = 0;       ///< completed run() count (rank-local)
-
-    /// Persistent engine task of the primary leader's bridge broadcast
-    /// (lazily created at the first start(); re-armed on later ones).
-    std::shared_ptr<minimpi::detail::IcollState> task_;
-    /// Persistent engine task of a fill round's staging copy when it does
-    /// not ride task_ — a non-leader root on a multi-node channel, or any
-    /// root on a single-node one (lazily created on first use).
-    std::shared_ptr<minimpi::detail::IcollState> fill_task_;
-    int started_root_ = 0;        ///< root rank of the armed round
-    int started_root_node_ = 0;   ///< root node of the armed round
-    std::byte* started_slot_ = nullptr;  ///< write slot of the armed round
-    SyncPolicy started_sync_ = SyncPolicy::Barrier;
-    bool started_fill_ = false;   ///< the armed round is an engine-fill one
-    const void* started_fill_src_ = nullptr;  ///< root only; else nullptr
-    /// Matching context of the fill completion token: the fill task's
-    /// explicit-sequence rendezvous context, recomputed per round (both the
-    /// root's send and the leader's receive derive the same value).
-    std::uint64_t started_fill_ctx_ = 0;
-    /// A split-phase round is in flight on THIS rank (children have no
-    /// engine task, so the guard cannot live on task_ alone).
-    bool round_active_ = false;
-
-    // --- resilience state (robust mode only; inert on the fast path) ---
-    std::uint64_t chan_uid_ = 0;
-    std::uint64_t generation_ = 0;
-    bool degraded_flat_ = false;
     std::vector<std::byte> flat_buf_;  ///< private double buffer
-    std::shared_ptr<NodeFailWord> fail_shared_;
-    RobustStats stats_;
 };
 
 }  // namespace hympi

@@ -1,39 +1,23 @@
 #pragma once
 
-#include "hybrid/numa_stage.h"
-#include "hybrid/shared_buffer.h"
-#include "hybrid/sync.h"
-#include "minimpi/icoll.h"
-#include "robust/robust.h"
+#include <functional>
+#include <vector>
+
+#include "hybrid/round.h"
 
 namespace hympi {
 
 using minimpi::Datatype;
 using minimpi::Op;
 
-/// Robust identity shared by the extra channels: generation stamps for the
-/// reliable (ARQ) bridge legs plus the channel's resilience counters. The
-/// extra channels have no hybrid->flat rung — their reliable legs retry
-/// within the budget and throw a typed RobustError on exhaustion (never a
-/// silent hang).
-struct RobustChannelState {
-    std::uint64_t uid = 0;
-    std::uint64_t generation = 0;
-    RobustStats stats;
-
-    /// One-off, collective over @p world: claim a program-order uid when
-    /// robustness is enabled (no-op otherwise).
-    void init(const minimpi::Comm& world);
-    std::uint64_t gen() const {
-        return (uid << 32) | (generation & 0xFFFFFFFFULL);
-    }
-};
-
 /// Extensions beyond the paper's two worked examples (its conclusion calls
 /// for "more experiences" in the hybrid MPI+MPI style). Each follows the
 /// same template as Hy_Allgather: one-off node-shared buffers + hierarchy,
-/// repeated cheap collective with explicit on-node synchronization and
-/// leader-only inter-node traffic.
+/// repeated cheap collective on the shared HybridRound skeleton with
+/// explicit on-node synchronization and leader-only inter-node traffic.
+/// These channels have no hybrid->flat rung: their reliable legs retry
+/// within the budget and throw a typed RobustError on exhaustion (never a
+/// silent hang).
 
 /// Hybrid allreduce: on-node processes reduce their node's contributions
 /// cooperatively (each rank owns a stripe of elements), the leader runs the
@@ -72,92 +56,94 @@ public:
     std::size_t chunk_bytes() const { return chunk_bytes_; }
 
     /// Resilience counters of this channel (robust mode only).
-    const RobustStats& robust_stats() const { return rs_.stats; }
+    const RobustStats& robust_stats() const { return round_.stats(); }
 
 private:
+    /// The steps run() and start() share for a round reducing with @p op.
+    RoundSteps steps(Op op);
     /// The XBRC-style chunked round: each rank reduces its stripe of chunk
     /// c directly into the node result slice and publishes it on its
     /// per-rank ready flag; the leader bridges chunk c as soon as its ppn
     /// ready flags land (overlapping the node reduction of chunk c+1) and
     /// re-publishes it on the node-level chunk flag for the leaf readers.
-    void run_pipelined(Op op, const PipelinePlan& plan,
-                       const RobustConfig* cfg);
+    bool run_pipelined(Op op, const PipelinePlan& plan);
+    /// One bridge allreduce of the @p bytes at @p slice: the vendor
+    /// allreduce, or in robust mode a reliable ring of the node partials
+    /// folded in ascending node order. False on exhausted retries.
+    bool leg(std::byte* slice, std::size_t bytes, Op op, std::uint64_t gen);
 
     const HierComm* hc_;
     NodeSharedBuffer buf_;
-    NodeSync sync_;
-    SocketStager stager_;
+    HybridRound round_;
     SocketStaging staging_ = SocketStaging::Auto;
     std::size_t chunk_bytes_ = 0;  ///< explicit pipeline chunk override
     std::size_t count_;
     Datatype dt_;
     std::size_t vec_bytes_;
-    RobustChannelState rs_;
-
-    /// Persistent engine task of the primary leader's bridge allreduce
-    /// (lazily created at the first start(); re-armed on later ones).
-    std::shared_ptr<minimpi::detail::IcollState> task_;
-    Op started_op_ = Op::Sum;  ///< op of the armed round
-    SyncPolicy started_sync_ = SyncPolicy::Barrier;
-    /// A split-phase round is in flight on THIS rank (children have no
-    /// engine task, so the guard cannot live on task_ alone).
-    bool round_active_ = false;
 };
+
+namespace detail {
+
+/// The node-shared layout Hy_Gather and Hy_Scatter share: the root's node
+/// holds every rank's block in slot order, every other node only its own
+/// members' blocks, and the primary leaders move whole node blocks.
+class RootedBlocks {
+public:
+    /// Where this rank writes (gather) or reads (scatter) its own block.
+    std::byte* my_block() const;
+    /// Resilience counters of this channel (robust mode only).
+    const RobustStats& robust_stats() const { return round_.stats(); }
+
+protected:
+    /// Vendor bridge call over per-node (counts, displs) and my count.
+    using PlainLeg = std::function<void(const std::vector<std::size_t>&,
+                                        const std::vector<std::size_t>&,
+                                        std::size_t)>;
+
+    RootedBlocks(const HierComm& hc, std::size_t block_bytes, int root,
+                 const RoundNames& names);
+    /// Block of @p comm_rank in the root node's full buffer.
+    std::byte* slot_block(int comm_rank) const;
+    /// One round whose primary leaders move the node blocks with @p plain
+    /// (span algo @p algo), or in robust mode with a reliable linear fan-in
+    /// (@p fan_in) or fan-out under op tag @p op.
+    void run(SyncPolicy sync, const char* algo, bool fan_in, int op,
+             const PlainLeg& plain);
+
+    const HierComm* hc_;
+    NodeSharedBuffer buf_;
+    HybridRound round_;
+    std::size_t bb_;
+    int root_node_;
+};
+
+}  // namespace detail
 
 /// Hybrid gather to a fixed root: children write their partitions into the
 /// node-shared block; leaders forward node blocks to the root's leader; the
 /// gathered vector exists ONCE, on the root's node.
-class GatherChannel {
+class GatherChannel : public detail::RootedBlocks {
 public:
     GatherChannel(const HierComm& hc, std::size_t block_bytes, int root);
 
-    /// Where this rank writes its contribution.
-    std::byte* my_block() const;
     /// Gathered block of @p comm_rank — valid on the root's node after run().
     std::byte* gathered(int comm_rank) const;
 
     void run(SyncPolicy sync = SyncPolicy::Barrier);
-
-
-    /// Resilience counters of this channel (robust mode only).
-    const RobustStats& robust_stats() const { return rs_.stats; }
-
-private:
-    const HierComm* hc_;
-    NodeSharedBuffer buf_;
-    NodeSync sync_;
-    std::size_t bb_;
-    int root_;
-    int root_node_;
-    RobustChannelState rs_;
 };
 
 /// Hybrid scatter from a fixed root: the root writes all blocks into its
 /// node's shared buffer; leaders receive only their node's slice; children
-/// read their block from the node-shared slice — no per-process copies.
-class ScatterChannel {
+/// read their block (my_block()) from the node-shared slice — no
+/// per-process copies.
+class ScatterChannel : public detail::RootedBlocks {
 public:
     ScatterChannel(const HierComm& hc, std::size_t block_bytes, int root);
 
     /// Root only: where to write rank @p comm_rank's outgoing block.
     std::byte* outgoing(int comm_rank) const;
-    /// Where this rank reads its received block after run().
-    std::byte* my_block() const;
 
     void run(SyncPolicy sync = SyncPolicy::Barrier);
-
-
-    /// Resilience counters of this channel (robust mode only).
-    const RobustStats& robust_stats() const { return rs_.stats; }
-
-private:
-    const HierComm* hc_;
-    NodeSharedBuffer buf_;
-    NodeSync sync_;
-    std::size_t bb_;
-    int root_;
-    int root_node_;
-    RobustChannelState rs_;
 };
 
 /// Hybrid reduce to a fixed root: on-node striped reduction into the node
@@ -173,20 +159,17 @@ public:
 
     void run(Op op, SyncPolicy sync = SyncPolicy::Barrier);
 
-
     /// Resilience counters of this channel (robust mode only).
-    const RobustStats& robust_stats() const { return rs_.stats; }
+    const RobustStats& robust_stats() const { return round_.stats(); }
 
 private:
     const HierComm* hc_;
     NodeSharedBuffer buf_;
-    NodeSync sync_;
+    HybridRound round_;
     std::size_t count_;
     Datatype dt_;
     std::size_t vec_bytes_;
-    int root_;
     int root_node_;
-    RobustChannelState rs_;
 };
 
 /// Hybrid all-to-all: each node keeps ONE send matrix and ONE receive
@@ -204,18 +187,16 @@ public:
 
     void run(SyncPolicy sync = SyncPolicy::Barrier);
 
-
     /// Resilience counters of this channel (robust mode only).
-    const RobustStats& robust_stats() const { return rs_.stats; }
+    const RobustStats& robust_stats() const { return round_.stats(); }
 
 private:
     std::size_t row_bytes() const;
 
     const HierComm* hc_;
     NodeSharedBuffer buf_;
-    NodeSync sync_;
+    HybridRound round_;
     std::size_t bb_;
-    RobustChannelState rs_;
 };
 
 }  // namespace hympi

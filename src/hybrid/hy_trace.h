@@ -1,5 +1,6 @@
 #pragma once
 
+#include "minimpi/comm.h"
 #include "minimpi/trace_span.h"
 
 /// Hybrid-layer tracing helpers on top of minimpi/trace_span.h: scoped
@@ -71,5 +72,24 @@ public:
 };
 
 #endif  // HYMPI_TRACE_ENABLED
+
+/// The Bridge-phase span of one leaders' exchange over @p bridge: name,
+/// algorithm and bridge shape, with the bytes sent inside it attributed by
+/// construction (BridgeBytesScope).
+class BridgeSpan {
+public:
+    BridgeSpan(const minimpi::Comm& bridge, const char* algo,
+               const char* name = "bridge_exchange")
+        : span_(bridge.ctx(), hytrace::Phase::Bridge, name),
+          bytes_(bridge.ctx(), span_) {
+        span_.set_algo(algo);
+        span_.set_comm(bridge.size(), bridge.rank());
+    }
+    void set_chunks(std::uint64_t n) { span_.set_chunks(n); }
+
+private:
+    TraceSpan span_;
+    BridgeBytesScope bytes_;
+};
 
 }  // namespace hympi

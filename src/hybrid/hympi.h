@@ -10,5 +10,6 @@
 #include "hybrid/halo.h"
 #include "hybrid/hy_extra.h"
 #include "hybrid/recover.h"
+#include "hybrid/round.h"
 #include "hybrid/shared_buffer.h"
 #include "hybrid/sync.h"

@@ -1,12 +1,22 @@
 #include "hybrid/numa_stage.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "hybrid/hy_trace.h"
 #include "tuning/decision.h"
 
 namespace hympi {
+
+std::vector<std::size_t> detail::chunk_lens(std::size_t bytes,
+                                            std::size_t chunk_bytes) {
+    std::vector<std::size_t> lens((bytes + chunk_bytes - 1) / chunk_bytes);
+    for (std::size_t c = 0; c < lens.size(); ++c) {
+        lens[c] = std::min(chunk_bytes, bytes - c * chunk_bytes);
+    }
+    return lens;
+}
 
 SocketStager::SocketStager(const HierComm& hc) : hc_(&hc) {
     const RobustConfig* cfg = hc.world().ctx().robust_cfg;
@@ -62,32 +72,38 @@ PipelinePlan SocketStager::plan(SocketStaging mode, std::size_t bytes,
         hc_->leaders_per_node() != 1) {
         return p;
     }
+    // Rank-uniform inputs only: the largest node population of the channel
+    // and a cluster-level socket gate. Keyed per node, irregular clusters
+    // would let nodes disagree about whether (and in how many chunks) the
+    // bridge runs pipelined, and their leaders would wait on each other
+    // forever.
+    int ppn = 0;
+    for (int n = 0; n < hc_->num_nodes(); ++n) {
+        ppn = std::max(ppn, hc_->node_size(n));
+    }
+    const RobustConfig* cfg = hc_->world().ctx().robust_cfg;
+    const bool sockets = hc_->world().ctx().cluster->sockets_per_node() > 1 &&
+                         ppn >= 2 && (cfg == nullptr || !cfg->enabled);
+    const tuning::DecisionTable* table = hc_->world().ctx().tuned;
+    const auto tuned = [&]() -> std::optional<tuning::Choice> {
+        if (table == nullptr) return std::nullopt;
+        return table->lookup(tuning::Op::ChunkSize, tuning::Shape::Shm, ppn,
+                             bytes);
+    };
     std::size_t chunk = chunk_override;
     if (mode == SocketStaging::Auto) {
         // Auto engages pipelining only on a tuned ChunkSize entry (and
         // only where the socket model applies — with free leaf reads the
         // chunked bridge has nothing to overlap): no table, no pipeline,
         // so untouched profiles keep their exact pre-pipeline clocks.
-        if (!active_) return p;
-        const tuning::DecisionTable* table = hc_->world().ctx().tuned;
-        if (table == nullptr) return p;
-        const auto c =
-            table->lookup(tuning::Op::ChunkSize, tuning::Shape::Shm,
-                          hc_->shm().size(), bytes == 0 ? 1 : bytes);
+        const auto c = sockets ? tuned() : std::nullopt;
         if (!c.has_value() || c->algo != tuning::algo::kCsPipelined) return p;
         if (chunk == 0) chunk = c->segment_bytes;
     } else if (mode != SocketStaging::Pipelined) {
         return p;
     } else if (chunk == 0) {
-        const tuning::DecisionTable* table = hc_->world().ctx().tuned;
-        if (table != nullptr) {
-            const auto c =
-                table->lookup(tuning::Op::ChunkSize, tuning::Shape::Shm,
-                              hc_->shm().size(), bytes == 0 ? 1 : bytes);
-            if (c.has_value() && c->segment_bytes != 0) {
-                chunk = c->segment_bytes;
-            }
-        }
+        const auto c = tuned();
+        if (c.has_value() && c->segment_bytes != 0) chunk = c->segment_bytes;
     }
     p.pipelined = true;
     p.chunk_bytes = detail::clamp_segment(chunk, kDefaultChunkBytes, 64, bytes);
@@ -110,17 +126,6 @@ void SocketStager::distribute_chunk(std::size_t chunk_len,
     } else {
         ctx.charge_xsocket_read(chunk_len, hc_->socket().size());
     }
-}
-
-void SocketStager::consume_chunks(NodeSync& sync, std::size_t bytes,
-                                  std::size_t chunk_bytes,
-                                  SocketStaging leaf) {
-    const std::size_t nchunks = (bytes + chunk_bytes - 1) / chunk_bytes;
-    std::vector<std::size_t> lens(nchunks);
-    for (std::size_t c = 0; c < nchunks; ++c) {
-        lens[c] = std::min(chunk_bytes, bytes - c * chunk_bytes);
-    }
-    consume_chunks(sync, lens, leaf);
 }
 
 void SocketStager::consume_chunks(NodeSync& sync,

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "hybrid/hier_comm.h"
 #include "hybrid/sync.h"
@@ -54,6 +55,10 @@ constexpr std::size_t clamp_segment(std::size_t seg, std::size_t fallback,
     return seg < payload ? seg : payload;
 }
 
+/// Lengths of the chunks of a @p bytes payload split into @p chunk_bytes
+/// pieces (the last one short).
+std::vector<std::size_t> chunk_lens(std::size_t bytes, std::size_t chunk_bytes);
+
 }  // namespace detail
 
 /// Resolved shape of one pipelined round (see SocketStager::plan).
@@ -91,8 +96,12 @@ public:
     /// (@p chunk_override, then the tuned ChunkSize segment, then a 32 KiB
     /// default picks the chunk size); Auto engages it only when the tuned
     /// ChunkSize table names pipelined at this (ppn, bytes) point AND the
-    /// socket model applies — without a table Auto never pipelines, so
-    /// every previously-tuned configuration keeps its exact clocks.
+    /// socket model applies to the cluster — without a table Auto never
+    /// pipelines, so every previously-tuned configuration keeps its exact
+    /// clocks. The bridge shape (pipelined, chunk size) is rank-uniform:
+    /// ppn is the channel's largest node population and the gate is
+    /// cluster-level, so nodes of different sizes never disagree about the
+    /// bridge op; only the leaf mode stays per node.
     PipelinePlan plan(SocketStaging mode, std::size_t bytes, bool multi_node,
                       std::size_t chunk_override) const;
 
@@ -102,23 +111,17 @@ public:
     /// barrier — per-chunk socket flags provide the ordering.
     void distribute_chunk(std::size_t chunk_len, SocketStaging leaf);
 
-    /// Consumer side of one pipelined round of @p bytes in @p chunk_bytes
-    /// chunks: wait for each chunk's node-level release flag (published by
-    /// the producing primary leader as the chunk lands), run the chunk's
-    /// leaf phase, and — Staged leaf — have each remote socket's leader
-    /// re-publish the chunk on its socket flag so its peers read the
-    /// socket-local mirror chunk by chunk. Every rank of the node except
-    /// the primary leader calls this exactly once per pipelined round
-    /// (the per-slot flag mirrors stay consistent because the round shape
-    /// is deterministic and uniform across the node).
-    void consume_chunks(NodeSync& sync, std::size_t bytes,
-                        std::size_t chunk_bytes, SocketStaging leaf);
-
-    /// Same protocol with an explicit per-chunk length vector — for rounds
-    /// whose chunks are not an even split of one linear buffer (allgather
-    /// passes ship one slice of EVERY node block, so pass lengths taper as
-    /// short blocks run dry). The producer must signal exactly
-    /// chunk_lens.size() node-level flags.
+    /// Consumer side of one pipelined round of chunks of lengths
+    /// @p chunk_lens: wait for each chunk's node-level release flag
+    /// (published by the producing primary leader as the chunk lands), run
+    /// the chunk's leaf phase, and — Staged leaf — have each remote
+    /// socket's leader re-publish the chunk on its socket flag so its peers
+    /// read the socket-local mirror chunk by chunk. Every rank of the node
+    /// except the primary leader calls this exactly once per pipelined
+    /// round (the per-slot flag mirrors stay consistent because the round
+    /// shape is deterministic and uniform across the node). The producer
+    /// must signal exactly chunk_lens.size() node-level flags; allgather
+    /// passes ship one slice of EVERY node block, so their lengths taper.
     void consume_chunks(NodeSync& sync, std::span<const std::size_t> chunk_lens,
                         SocketStaging leaf);
 

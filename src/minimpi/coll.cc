@@ -127,13 +127,9 @@ void barrier_shm_tuned(const Comm& comm) {
         ctx.model->shm_barrier_base_us +
         ctx.model->shm_barrier_hop_us * std::log2(static_cast<double>(p));
     // A counter barrier is a clock-max rendezvous plus the flag round cost.
-    const VTime t0 = ctx.vck().now();
     struct Empty {};
     rendezvous<Empty>(comm.state(), ctx, comm.rank(), cost, [](Empty&) {},
                       [](Empty&) {});
-    if (ctx.tracer) {
-        ctx.tracer->record(TraceEvent::Kind::Sync, t0, ctx.vck().now());
-    }
 }
 
 void bcast_binomial(const Comm& comm, void* buf, std::size_t bytes, int root) {

@@ -8,12 +8,8 @@ namespace minimpi {
 
 void RankCtx::copy_bytes(void* dst, const void* src, std::size_t bytes) {
     if (bytes == 0) return;
-    const VTime t0 = vck().now();
     vck().charge_memcpy(*model, bytes);
     stats.memcpy_bytes += bytes;
-    if (tracer) {
-        tracer->record(TraceEvent::Kind::Copy, t0, vck().now(), -1, bytes);
-    }
     if (payload_mode == PayloadMode::Real && dst != nullptr && src != nullptr &&
         dst != src) {
         std::memmove(dst, src, bytes);
@@ -34,15 +30,11 @@ void RankCtx::copy_bytes_xsocket(void* dst, const void* src,
 void RankCtx::charge_xsocket_read(std::size_t bytes, int concurrency) {
     if (bytes == 0) return;
     if (concurrency < 1) concurrency = 1;
-    const VTime t0 = vck().now();
     vck().advance(static_cast<VTime>(bytes) *
                   model->memcpy_xsocket_beta_us_per_byte *
                   static_cast<VTime>(concurrency));
     stats.xsocket_bytes += bytes;
     HYTRACE_COUNTER(*this, xsocket_bytes, bytes);
-    if (tracer) {
-        tracer->record(TraceEvent::Kind::Copy, t0, vck().now(), -1, bytes);
-    }
 }
 
 }  // namespace minimpi

@@ -7,7 +7,6 @@
 #include "minimpi/clock.h"
 #include "minimpi/cluster.h"
 #include "minimpi/netmodel.h"
-#include "minimpi/trace.h"
 #include "minimpi/types.h"
 #include "robust/config.h"
 #include "robust/stats.h"
@@ -154,26 +153,15 @@ struct RankCtx {
 
     /// Charge application compute (used by reductions and the apps layer).
     void charge_flops(double flops) {
-        const VTime t0 = vck().now();
         vck().charge_flops(*model, flops);
         stats.flops += flops;
-        if (tracer && flops > 0.0) {
-            tracer->record(TraceEvent::Kind::Compute, t0, vck().now());
-        }
     }
     void charge_memcpy(std::size_t bytes) {
-        const VTime t0 = vck().now();
         vck().charge_memcpy(*model, bytes);
         stats.memcpy_bytes += bytes;
-        if (tracer && bytes > 0) {
-            tracer->record(TraceEvent::Kind::Copy, t0, vck().now(), -1, bytes);
-        }
     }
 
     CommStats stats;
-
-    /// Event recorder; null unless RunOptions::trace was set.
-    Tracer* tracer = nullptr;
 
     /// Virtual-time span/counter recorder (src/trace); null unless span
     /// tracing is on for this run (HYMPI_TRACE or RunOptions::spans).

@@ -16,6 +16,5 @@
 #include "minimpi/p2p.h"
 #include "minimpi/request.h"
 #include "minimpi/runtime.h"
-#include "minimpi/trace.h"
 #include "minimpi/types.h"
 #include "minimpi/win.h"

@@ -143,10 +143,6 @@ void send_bytes(const Comm& comm, const void* buf, std::size_t bytes, int dest,
 
     const VTime t_send0 = ctx.vck().now();
     ctx.vck().advance(link.overhead_us);
-    if (ctx.tracer) {
-        ctx.tracer->record(TraceEvent::Kind::Send, t_send0, ctx.vck().now(),
-                           dst_world, bytes);
-    }
     if (trace_p2p(ctx)) {
         hytrace::Span* s =
             trace_complete(ctx, hytrace::Phase::P2P, "send", t_send0);
@@ -266,10 +262,6 @@ void send_frame(const Comm& comm, const void* buf, std::size_t bytes, int dest,
 
     const VTime t_send0 = ctx.clock.now();
     ctx.clock.advance(link.overhead_us);
-    if (ctx.tracer) {
-        ctx.tracer->record(TraceEvent::Kind::Send, t_send0, ctx.clock.now(),
-                           dst_world, bytes);
-    }
     if (trace_p2p(ctx)) {
         hytrace::Span* s =
             trace_complete(ctx, hytrace::Phase::P2P, "send_frame", t_send0);
@@ -342,10 +334,6 @@ FrameRecvResult finish_frame_recv(const Comm& comm, PostedRecv& pr) {
     const VTime t_recv0 = ctx.clock.now();
     ctx.clock.sync_to(pr.arrival);
     ctx.clock.advance(pr.recv_overhead);
-    if (ctx.tracer) {
-        ctx.tracer->record(TraceEvent::Kind::Recv, t_recv0, ctx.clock.now(),
-                           pr.matched_src, pr.msg_bytes);
-    }
     if (trace_p2p(ctx)) {
         hytrace::Span* s =
             trace_complete(ctx, hytrace::Phase::P2P, "recv_frame", t_recv0);
@@ -549,10 +537,6 @@ Status Request::finish_recv() {
     const VTime t_recv0 = ctx_->vck().now();
     ctx_->vck().sync_to(pr.arrival);
     ctx_->vck().advance(pr.recv_overhead);
-    if (ctx_->tracer) {
-        ctx_->tracer->record(TraceEvent::Kind::Recv, t_recv0,
-                             ctx_->vck().now(), pr.matched_src, pr.msg_bytes);
-    }
     if (trace_p2p(*ctx_)) {
         hytrace::Span* s =
             trace_complete(*ctx_, hytrace::Phase::P2P, "recv", t_recv0);

@@ -194,8 +194,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
     std::vector<RankThreadArgs> args(static_cast<std::size_t>(n));
     std::vector<pthread_t> threads(static_cast<std::size_t>(n));
-    std::vector<Tracer> tracers(
-        opts_.trace ? static_cast<std::size_t>(n) : 0);
 
     // Span recording is on when the caller asked (RunOptions::spans) or
     // process-wide via HYMPI_TRACE; the sink only receives runs in the
@@ -227,7 +225,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
         if (fault_plan_.kill_active()) {
             ctx.kill_at = fault_plan_.kill_time(i);
         }
-        if (opts_.trace) ctx.tracer = &tracers[static_cast<std::size_t>(i)];
         if (span_trace) ctx.spans = &recorders[static_cast<std::size_t>(i)];
         args[static_cast<std::size_t>(i)] =
             RankThreadArgs{this, &ctx, world_state, &rank_main,
@@ -277,7 +274,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     std::vector<VTime> clocks(static_cast<std::size_t>(n));
     last_stats_.resize(static_cast<std::size_t>(n));
     last_robust_stats_.resize(static_cast<std::size_t>(n));
-    last_traces_.clear();
     for (int i = 0; i < n; ++i) {
         clocks[static_cast<std::size_t>(i)] =
             ctxs[static_cast<std::size_t>(i)].clock.now();
@@ -285,10 +281,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
             ctxs[static_cast<std::size_t>(i)].stats;
         last_robust_stats_[static_cast<std::size_t>(i)] =
             ctxs[static_cast<std::size_t>(i)].robust_stats;
-    }
-    if (opts_.trace) {
-        last_traces_.reserve(tracers.size());
-        for (auto& t : tracers) last_traces_.push_back(t.events());
     }
     last_span_traces_.clear();
     if (span_trace) {

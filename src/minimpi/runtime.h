@@ -23,10 +23,6 @@ struct RunOptions {
     /// heap.
     std::size_t stack_bytes = 1 << 20;
 
-    /// Record per-rank event timelines (see trace.h); retrieve with
-    /// Runtime::last_traces after run().
-    bool trace = false;
-
     /// Record virtual-time spans and counters (see src/trace); retrieve
     /// with Runtime::last_span_traces after run(). Span recording is also
     /// switched on process-wide by HYMPI_TRACE=<path> (the Chrome export
@@ -72,12 +68,6 @@ public:
 
     /// Sum of last_robust_stats() over ranks.
     hympi::RobustStats total_robust_stats() const;
-
-    /// Per-rank event timelines of the most recent run() (empty unless
-    /// RunOptions::trace was set).
-    const std::vector<std::vector<TraceEvent>>& last_traces() const {
-        return last_traces_;
-    }
 
     /// Per-rank span traces/counters of the most recent run() (empty
     /// unless span tracing was on — RunOptions::spans or HYMPI_TRACE).
@@ -163,7 +153,6 @@ private:
     std::vector<std::shared_ptr<void>> resources_;
     std::vector<CommStats> last_stats_;
     std::vector<hympi::RobustStats> last_robust_stats_;
-    std::vector<std::vector<TraceEvent>> last_traces_;
     std::vector<hytrace::RankTrace> last_span_traces_;
     std::vector<std::uint64_t> shm_alloc_seq_;  ///< per-node, guarded by registry_mu_
 };

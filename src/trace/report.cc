@@ -407,4 +407,41 @@ void print_diff(std::ostream& os, const DiffResult& diff, double rel_tol) {
     os << tail;
 }
 
+std::string render_timeline(const std::vector<RankTrace>& ranks,
+                            int columns) {
+    double horizon = 0.0;
+    for (const RankTrace& r : ranks) {
+        for (const Span& s : r.spans) horizon = std::max(horizon, s.t_end);
+    }
+    std::string out;
+    if (horizon <= 0.0 || columns <= 0) return out;
+    char line[112];
+    std::snprintf(line, sizeof(line),
+                  "timeline: %d columns spanning %.2f us (s=send r=recv "
+                  "b=bridge c=copy #=compute |=sync)\n",
+                  columns, horizon);
+    out += line;
+    const double scale = static_cast<double>(columns) / horizon;
+    for (std::size_t r = 0; r < ranks.size(); ++r) {
+        std::string row(static_cast<std::size_t>(columns), '.');
+        for (const Span& s : ranks[r].spans) {
+            static constexpr char kGlyph[] = {'p', '.', 'b', 'c',
+                                              '|', '!', '#', 'e'};
+            char g = kGlyph[static_cast<int>(s.phase)];
+            if (s.phase == Phase::P2P) g = s.name[0] == 'r' ? 'r' : 's';
+            if (g == '.') continue;
+            const int lo = std::clamp(static_cast<int>(s.t_start * scale), 0,
+                                      columns - 1);
+            const int hi = std::clamp(static_cast<int>(s.t_end * scale), lo,
+                                      columns - 1);
+            for (int c = lo; c <= hi; ++c) row[static_cast<std::size_t>(c)] = g;
+        }
+        std::snprintf(line, sizeof(line), "%4zu ", r);
+        out += line;
+        out += row;
+        out += '\n';
+    }
+    return out;
+}
+
 }  // namespace hytrace::report

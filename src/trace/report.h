@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "trace/json.h"
+#include "trace/span.h"
 
 /// Offline analysis for trace_report: per-phase breakdowns of Chrome
 /// trace-event files written by this repo, and tolerance-based diffs of
@@ -50,6 +51,14 @@ void print_counters(std::ostream& os, const json::Value& trace);
 /// attribution. Returns false (printing nothing) when @p doc has no
 /// "service" object.
 bool print_service(std::ostream& os, const json::Value& doc);
+
+/// Render per-rank span traces as an ASCII Gantt chart: one row per rank,
+/// @p columns characters spanning [0, latest span end]. Leaf phases draw
+/// their glyph (s=send r=recv b=bridge c=copy #=compute |=sync !=robust
+/// e=engine); collective root spans only frame their children, idle is
+/// '.'. Spans are drawn in begin order, so a child overwrites its parent.
+std::string render_timeline(const std::vector<RankTrace>& ranks,
+                            int columns = 72);
 
 /// One data-point comparison from a BENCH table diff.
 struct DiffEntry {

@@ -213,11 +213,6 @@ std::vector<Choice> candidates(Op op, int comm_size, const TuneConfig& cfg) {
             add(algo::kBwOff);    // every op immediate
             add(algo::kBwFused);  // window fused into one bridge exchange
             break;
-        case Op::SplitSegment:
-            // No offline sweep (only hand-registered tables carry rows):
-            // the split-phase engine shape depends on the caller's overlap
-            // window, which a closed-loop latency probe cannot see.
-            break;
     }
     return out;
 }

@@ -18,9 +18,8 @@ namespace {
 const char* const kOpNames[kNumOps] = {"allgather",       "allgatherv",
                                        "bcast",           "allreduce",
                                        "barrier",         "bridge_exchange",
-                                       "socket_staging",  "split_segment",
-                                       "chunk_size",      "loc_bruck",
-                                       "batch_window"};
+                                       "socket_staging",  "chunk_size",
+                                       "loc_bruck",       "batch_window"};
 const char* const kShapeNames[kNumShapes] = {"net", "shm"};
 
 /// Per-op algorithm name tables, indexed by the algo:: constants.
@@ -34,7 +33,6 @@ const std::vector<const char*>& algo_names(Op op) {
         {"allgatherv", "bcast", "pipelined", "bruckv",   // BridgeExchange
          "neighbor_exchange"},
         {"flat", "staged"},                              // SocketStaging
-        {"whole", "segmented"},                          // SplitSegment
         {"whole", "pipelined"},                          // ChunkSize
         {"per_leader", "combined"},                      // LocBruck
         {"off", "fused"},                                // BatchWindow

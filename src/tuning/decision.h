@@ -35,9 +35,6 @@ enum class Op : std::uint8_t {
                      ///< node-block byte count on the bridge
     SocketStaging,   ///< hybrid on-node NUMA phase (flat vs socket-staged);
                      ///< Shm shape, keyed by the distributed byte count
-    SplitSegment,    ///< split-phase (nonblocking) bridge exchange: whether
-                     ///< the engine-driven round segments its transfers, and
-                     ///< at which chunk size; keyed like BridgeExchange
     ChunkSize,       ///< hybrid pipeline engine: whether a large-message
                      ///< round runs whole-message staged or chunked
                      ///< (pipelined), and at which chunk size; Shm shape,
@@ -53,7 +50,7 @@ enum class Op : std::uint8_t {
                      ///< exchange or executed immediately; keyed by
                      ///< (node count, per-op payload bytes)
 };
-inline constexpr int kNumOps = 11;
+inline constexpr int kNumOps = 10;
 
 /// Link class of the communicator the operation runs on. Collective call
 /// sites in minimpi are link-pure: the SMP-aware dispatch sends mixed
@@ -94,9 +91,6 @@ inline constexpr std::uint8_t kBrNeighborExchange = 4;
 // Op::SocketStaging
 inline constexpr std::uint8_t kSsFlat = 0;
 inline constexpr std::uint8_t kSsStaged = 1;
-// Op::SplitSegment
-inline constexpr std::uint8_t kSpWhole = 0;
-inline constexpr std::uint8_t kSpSegmented = 1;
 // Op::ChunkSize
 inline constexpr std::uint8_t kCsWhole = 0;
 inline constexpr std::uint8_t kCsPipelined = 1;

@@ -15,7 +15,6 @@
 
 #include "hybrid/hympi.h"
 #include "minimpi/minimpi.h"
-#include "tuning/decision.h"
 
 using namespace minimpi;
 
@@ -501,13 +500,12 @@ TEST(HybridNonblocking, ChannelRoundsDataCorrect) {
 }
 
 TEST(HybridNonblocking, StartWaitMatchesSynchronousExactly) {
-    // Allgather: start()+wait() with no interleaved compute must equal
-    // begin()+finish() bit-for-bit (same call sites, sub-clock seeded at
-    // the same instant). Bcast/allreduce have no begin/finish; on 1-socket
-    // clusters their start()+wait() replays run() exactly (the only
-    // split-phase deviation — the flat on-node copy — is inert there).
-    auto run_case = [](int sockets, int kind, bool split) {
-        Runtime rt(ClusterSpec::regular(2, 3, Placement::Smp, sockets),
+    // On 1-socket clusters start()+wait() with no interleaved compute
+    // replays run() bit-for-bit (same call sites, sub-clock seeded at the
+    // same instant; the only split-phase deviation — the flat on-node copy
+    // — is inert there).
+    auto run_case = [](int kind, bool split) {
+        Runtime rt(ClusterSpec::regular(2, 3, Placement::Smp, 1),
                    ModelParams::cray());
         return rt.run([&](Comm& world) {
             hympi::HierComm hc(world);
@@ -519,8 +517,7 @@ TEST(HybridNonblocking, StartWaitMatchesSynchronousExactly) {
                     if (split) {
                         ch.start().wait();
                     } else {
-                        ch.begin();
-                        ch.finish();
+                        ch.run();
                     }
                     ch.quiesce();
                 }
@@ -552,9 +549,8 @@ TEST(HybridNonblocking, StartWaitMatchesSynchronousExactly) {
         });
     };
     for (const int kind : {0, 1, 2}) {
-        const int sockets = kind == 0 ? 2 : 1;
-        const std::vector<VTime> sync_clocks = run_case(sockets, kind, false);
-        const std::vector<VTime> split_clocks = run_case(sockets, kind, true);
+        const std::vector<VTime> sync_clocks = run_case(kind, false);
+        const std::vector<VTime> split_clocks = run_case(kind, true);
         ASSERT_EQ(sync_clocks.size(), split_clocks.size());
         for (std::size_t i = 0; i < sync_clocks.size(); ++i) {
             EXPECT_EQ(sync_clocks[i], split_clocks[i])
@@ -564,13 +560,13 @@ TEST(HybridNonblocking, StartWaitMatchesSynchronousExactly) {
 }
 
 TEST(HybridNonblocking, LeaderComputeOverlapsItsOwnExchange) {
-    // What start() adds over begin(): begin() blocks the LEADER until its
-    // transfers are done, so leader compute serializes behind the exchange;
-    // start() charges the exchange to the request's sub-clock, so leader
-    // compute overlaps too and the makespan drops.
+    // run() blocks the LEADER until its transfers are done, so leader
+    // compute serializes behind the exchange; start() charges the exchange
+    // to the request's sub-clock, so leader compute overlaps too and the
+    // makespan drops.
     const std::size_t bb = 512 * 1024;
     const double flops = 2.0e6;
-    VTime t_start = 0, t_begin = 0;
+    VTime t_start = 0, t_run = 0;
     for (const bool use_start : {false, true}) {
         Runtime rt(ClusterSpec::regular(4, 8), ModelParams::cray(),
                    PayloadMode::SizeOnly);
@@ -583,49 +579,14 @@ TEST(HybridNonblocking, LeaderComputeOverlapsItsOwnExchange) {
                 world.ctx().charge_flops(flops);  // EVERY rank computes
                 rq.wait();
             } else {
-                ch.begin();
+                ch.run();
                 world.ctx().charge_flops(flops);
-                ch.finish();
             }
         });
-        (use_start ? t_start : t_begin) =
+        (use_start ? t_start : t_run) =
             *std::max_element(clocks.begin(), clocks.end());
     }
-    EXPECT_LT(t_start, t_begin) << "start=" << t_start
-                                << " begin=" << t_begin;
-}
-
-TEST(HybridNonblocking, TunedSplitSegmentGovernsEngineRound) {
-    // tuning::Op::SplitSegment tunes the chunk size of the ENGINE-driven
-    // bridge exchange. Two runs under override tables differing only in that
-    // row ("whole" vs a tiny segmented chunk) must time the split-phase
-    // round differently — and deliver identical bytes (chunking changes
-    // scheduling, never content).
-    auto run_once = [](tuning::Choice choice) {
-        tuning::DecisionTable t("cray", 1);
-        t.set(tuning::Op::SplitSegment, tuning::Shape::Net, 3, 128 * 1024,
-              choice);
-        tuning::register_table(std::move(t));
-        Runtime rt(ClusterSpec::regular(3, 2), ModelParams::cray());
-        auto clocks = rt.run([](Comm& world) {
-            hympi::HierComm hc(world);
-            const std::size_t bb = 64 * 1024;
-            hympi::AllgatherChannel ch(hc, bb);
-            fill(ch.my_block(), bb, world.rank());
-            ch.start(hympi::SyncPolicy::Barrier, hympi::BridgeAlgo::Pipelined)
-                .wait();
-            for (int r = 0; r < world.size(); ++r) {
-                expect_block(ch.block_of(r), bb, r);
-            }
-        });
-        tuning::unregister_table("cray");
-        return *std::max_element(clocks.begin(), clocks.end());
-    };
-    const VTime whole = run_once({tuning::algo::kSpWhole, 0});
-    const VTime chunked = run_once({tuning::algo::kSpSegmented, 4096});
-    // 4 KiB chunks pay the per-segment start-up cost 8x as often as the
-    // 32 KiB pipeline default the "whole" row falls back to.
-    EXPECT_GT(chunked, whole);
+    EXPECT_LT(t_start, t_run) << "start=" << t_start << " run=" << t_run;
 }
 
 TEST(NonblockingEquivalence, ImmediateWaitMatchesBlockingExactly) {

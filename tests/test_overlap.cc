@@ -27,10 +27,10 @@ TEST(Overlap, DataStillCorrect) {
         const std::size_t bb = 64;
         AllgatherChannel ch(hc, bb);
         fill(ch.my_block(), bb, world.rank());
-        ch.begin();
+        minimpi::CollRequest rq = ch.start();
         // Compute on private data while the leaders exchange.
         world.ctx().charge_flops(5000.0);
-        ch.finish();
+        rq.wait();
         for (int r = 0; r < world.size(); ++r) {
             const std::byte* b = ch.block_of(r);
             for (std::size_t i = 0; i < bb; ++i) {
@@ -46,7 +46,7 @@ TEST(Overlap, ChildrenComputeHidesBehindExchange) {
     // Large node blocks: the bridge exchange takes a while. Children (the
     // leader's application work is assumed redistributed while it drives
     // the network) who compute during the window finish no later than the
-    // exchange itself, so begin+compute+finish costs (almost) the same as
+    // exchange itself, so start+compute+wait costs (almost) the same as
     // run() alone, while run()+compute pays for both serially.
     const std::size_t bb = 512 * 1024;
     const double flops = 2.0e6;  // ~1 ms of compute at 2 GF/s
@@ -60,9 +60,9 @@ TEST(Overlap, ChildrenComputeHidesBehindExchange) {
             const bool child = !hc.is_leader();
             barrier(world);
             if (split) {
-                ch.begin();
+                minimpi::CollRequest rq = ch.start();
                 if (child) world.ctx().charge_flops(flops);
-                ch.finish();
+                rq.wait();
             } else {
                 ch.run();
                 if (child) world.ctx().charge_flops(flops);
@@ -85,8 +85,7 @@ TEST(Overlap, SyncPoliciesBothWork) {
             AllgatherChannel ch(hc, 32);
             for (int epoch = 0; epoch < 3; ++epoch) {
                 fill(ch.my_block(), 32, world.rank() + epoch * 100);
-                ch.begin(sync);
-                ch.finish(sync);
+                ch.start(sync).wait();
                 for (int r = 0; r < world.size(); ++r) {
                     ASSERT_EQ(ch.block_of(r)[0],
                               static_cast<std::byte>(
@@ -98,14 +97,13 @@ TEST(Overlap, SyncPoliciesBothWork) {
     }
 }
 
-TEST(Overlap, SingleNodeBeginFinishIsAFullSync) {
+TEST(Overlap, SingleNodeStartWaitIsAFullSync) {
     Runtime rt(ClusterSpec::regular(1, 6), ModelParams::cray());
     rt.run([](Comm& world) {
         HierComm hc(world);
         AllgatherChannel ch(hc, 16);
         fill(ch.my_block(), 16, world.rank());
-        ch.begin();
-        ch.finish();
+        ch.start().wait();
         for (int r = 0; r < world.size(); ++r) {
             ASSERT_EQ(ch.block_of(r)[0],
                       static_cast<std::byte>((r * 67) & 0xFF));

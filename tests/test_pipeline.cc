@@ -202,6 +202,96 @@ TEST(PipelineBytes, AllreduceXbrcMatchesFlat) {
     });
 }
 
+// ---- irregular multi-socket clusters: one rank-uniform round shape -------
+
+TEST(PipelineUniform, IrregularTwoSocketShapeAgreesAcrossNodes) {
+    // Nodes of different populations must agree on the bridge op: a shape
+    // keyed by each node's own population let the 12-rank nodes pipeline
+    // while the 8-rank node ran the whole-message exchange, and the leaders
+    // waited on each other forever. Every rank's plan must be identical,
+    // and every channel's bytes must match the flat reference.
+    const ClusterSpec cluster =
+        ClusterSpec::irregular({12, 12, 12, 12, 12, 8}, Placement::Smp, 2);
+    for (const ModelParams& params :
+         {ModelParams::cray(), ModelParams::openmpi()}) {
+        Runtime rt(cluster, params);
+        rt.run([](Comm& world) {
+            HierComm hc(world);
+            SocketStager st(hc);
+            const auto p = static_cast<std::size_t>(world.size());
+            auto expect_uniform = [&](SocketStaging mode, std::size_t bytes) {
+                const PipelinePlan pp = st.plan(mode, bytes, true, 0);
+                const std::uint64_t mine[2] = {pp.pipelined ? 1u : 0u,
+                                               pp.chunk_bytes};
+                std::vector<std::uint64_t> all(2 * p);
+                allgather(world, mine, 2, all.data(), Datatype::UInt64);
+                for (std::size_t r = 0; r < p; ++r) {
+                    ASSERT_EQ(all[2 * r], mine[0]) << "rank " << r;
+                    ASSERT_EQ(all[2 * r + 1], mine[1]) << "rank " << r;
+                }
+            };
+            for (const SocketStaging mode :
+                 {SocketStaging::Auto, SocketStaging::Pipelined}) {
+                for (std::size_t bb = 8; bb <= 64 * 1024; bb *= 2) {
+                    std::vector<std::byte> mine(bb);
+                    for (std::size_t i = 0; i < bb; ++i) {
+                        mine[i] = static_cast<std::byte>(
+                            (world.rank() * 29 + static_cast<int>(i)) & 0xFF);
+                    }
+                    std::vector<std::byte> ref(bb * p);
+                    allgather(world, mine.data(), bb, ref.data(),
+                              Datatype::Byte);
+
+                    expect_uniform(mode, bb * p);
+                    AllgatherChannel ag(hc, bb);
+                    ag.set_socket_staging(mode);
+                    std::memcpy(ag.my_block(), mine.data(), bb);
+                    ag.run();
+                    for (int r = 0; r < world.size(); ++r) {
+                        ASSERT_EQ(std::memcmp(ag.block_of(r),
+                                              ref.data() +
+                                                  static_cast<std::size_t>(r) *
+                                                      bb,
+                                              bb),
+                                  0)
+                            << "allgather bb " << bb << " block " << r;
+                    }
+
+                    expect_uniform(mode, bb);
+                    BcastChannel bc(hc, bb);
+                    bc.set_socket_staging(mode);
+                    const int root = world.size() - 1;
+                    if (world.rank() == root) {
+                        std::memcpy(bc.write_buffer(), ref.data() + root * bb,
+                                    bb);
+                    }
+                    bc.run(root);
+                    ASSERT_EQ(std::memcmp(bc.read_buffer(),
+                                          ref.data() + root * bb, bb),
+                              0)
+                        << "bcast bytes " << bb;
+
+                    const std::size_t n = bb / 8;
+                    std::vector<std::int64_t> in(n), sum(n);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        in[i] = world.rank() * 7 + static_cast<int>(i);
+                    }
+                    allreduce(world, in.data(), sum.data(), n,
+                              Datatype::Int64, minimpi::Op::Sum);
+                    expect_uniform(mode, bb);
+                    AllreduceChannel ar(hc, n, Datatype::Int64);
+                    ar.set_socket_staging(mode);
+                    std::memcpy(ar.my_input(), in.data(), bb);
+                    ar.run(minimpi::Op::Sum);
+                    ASSERT_EQ(std::memcmp(ar.result(), sum.data(), bb), 0)
+                        << "allreduce bytes " << bb;
+                    barrier(world);
+                }
+            }
+        });
+    }
+}
+
 // ---- clocks: determinism, crossover, degradation ------------------------
 
 namespace {

@@ -1,147 +1,80 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "hybrid/hympi.h"
 #include "trace/json.h"
+#include "trace/report.h"
 #include "trace/sink.h"
 
 using namespace minimpi;
 
-TEST(Trace, DisabledByDefault) {
-    Runtime rt(ClusterSpec::regular(1, 2), ModelParams::test());
-    rt.run([](Comm& world) {
-        if (world.rank() == 0) {
-            send_value(world, 1, 1, 0);
+namespace {
+
+/// Runs one Hy_Allgather (or the naive flat allgather) on 2 nodes x 6 with
+/// p2p spans on and returns the per-rank span traces.
+std::vector<hytrace::RankTrace> allgather_spans(bool hybrid) {
+    RunOptions opts;
+    opts.spans = true;
+    opts.span_p2p = true;
+    Runtime rt(ClusterSpec::regular(2, 6), ModelParams::cray(),
+               PayloadMode::SizeOnly, opts);
+    rt.run([hybrid](Comm& world) {
+        if (hybrid) {
+            hympi::HierComm hc(world);
+            hympi::AllgatherChannel ch(hc, 8192);
+            ch.run();
         } else {
-            recv_value<int>(world, 0, 0);
+            allgather(world, nullptr, 1024, nullptr, Datatype::Double);
         }
     });
-    EXPECT_TRUE(rt.last_traces().empty());
+    return rt.last_span_traces();
 }
 
-TEST(Trace, RecordsSendRecvComputeIntervals) {
-    RunOptions opts;
-    opts.trace = true;
-    Runtime rt(ClusterSpec::regular(2, 1), ModelParams::cray(),
-               PayloadMode::Real, opts);
-    rt.run([](Comm& world) {
-        if (world.rank() == 0) {
-            world.ctx().charge_flops(1000.0);
-            double d[8] = {};
-            send(world, d, 8, Datatype::Double, 1, 0);
-        } else {
-            double d[8];
-            recv(world, d, 8, Datatype::Double, 0, 0);
-        }
-    });
-    const auto& traces = rt.last_traces();
-    ASSERT_EQ(traces.size(), 2u);
-
-    // Rank 0: one Compute then one Send, contiguous and ordered.
-    ASSERT_EQ(traces[0].size(), 2u);
-    EXPECT_EQ(traces[0][0].kind, TraceEvent::Kind::Compute);
-    EXPECT_EQ(traces[0][1].kind, TraceEvent::Kind::Send);
-    EXPECT_EQ(traces[0][1].peer, 1);
-    EXPECT_EQ(traces[0][1].bytes, 64u);
-    EXPECT_DOUBLE_EQ(traces[0][0].t_end, traces[0][1].t_start);
-
-    // Rank 1: one Recv whose interval covers the wait from t=0.
-    ASSERT_EQ(traces[1].size(), 1u);
-    EXPECT_EQ(traces[1][0].kind, TraceEvent::Kind::Recv);
-    EXPECT_EQ(traces[1][0].peer, 0);
-    EXPECT_DOUBLE_EQ(traces[1][0].t_start, 0.0);
-    EXPECT_GT(traces[1][0].t_end, traces[0][1].t_end)
-        << "arrival follows the send";
-}
-
-TEST(Trace, EventsAreMonotonePerRank) {
-    RunOptions opts;
-    opts.trace = true;
-    Runtime rt(ClusterSpec::regular(2, 3), ModelParams::cray(),
-               PayloadMode::Real, opts);
-    rt.run([](Comm& world) {
-        hympi::HierComm hc(world);
-        hympi::AllgatherChannel ch(hc, 256);
-        std::memset(ch.my_block(), 0, 256);
-        ch.run();
-        ch.quiesce();
-        ch.run();
-    });
-    for (const auto& evs : rt.last_traces()) {
-        VTime prev_start = 0.0;
-        for (const auto& e : evs) {
-            EXPECT_LE(e.t_start, e.t_end);
-            EXPECT_GE(e.t_start, prev_start) << "events sorted by start";
-            prev_start = e.t_start;
+/// Communication time summed over ranks: the leaf P2P and Sync spans, i.e.
+/// the time each rank spent sending, receiving or waiting at a sync.
+double communication_us(const std::vector<hytrace::RankTrace>& traces) {
+    double total = 0.0;
+    for (const auto& rank_trace : traces) {
+        const auto& spans = rank_trace.spans;
+        for (std::size_t i = 0; i < spans.size(); ++i) {
+            const bool leaf =
+                i + 1 == spans.size() || spans[i + 1].depth <= spans[i].depth;
+            if (leaf && (spans[i].phase == hytrace::Phase::P2P ||
+                         spans[i].phase == hytrace::Phase::Sync)) {
+                total += spans[i].t_end - spans[i].t_start;
+            }
         }
     }
+    return total;
 }
 
-TEST(Trace, TimelineRendering) {
-    std::vector<std::vector<TraceEvent>> ranks(2);
-    ranks[0].push_back({TraceEvent::Kind::Compute, 0.0, 5.0, -1, 0});
-    ranks[0].push_back({TraceEvent::Kind::Send, 5.0, 6.0, 1, 100});
-    ranks[1].push_back({TraceEvent::Kind::Recv, 0.0, 8.0, 0, 100});
-    ranks[1].push_back({TraceEvent::Kind::Sync, 9.0, 10.0, -1, 0});
-    const std::string s = render_timeline(ranks, 20);
-    // Two rank rows plus a header.
-    EXPECT_NE(s.find("timeline:"), std::string::npos);
-    EXPECT_NE(s.find('#'), std::string::npos);
+}  // namespace
+
+TEST(Trace, TimelineRendersSpans) {
+    const auto traces = allgather_spans(true);
+    const std::string s = hytrace::report::render_timeline(traces, 40);
+    // A header plus one row per rank, each row exactly 40 cells wide.
+    EXPECT_EQ(s.rfind("timeline: 40 columns", 0), 0u);
+    EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 13);
+    EXPECT_NE(s.find("   0 "), std::string::npos);
+    EXPECT_NE(s.find("  11 "), std::string::npos);
+    // Leaders bridge and move messages; everyone syncs.
+    EXPECT_NE(s.find('b'), std::string::npos);
     EXPECT_NE(s.find('s'), std::string::npos);
     EXPECT_NE(s.find('r'), std::string::npos);
     EXPECT_NE(s.find('|'), std::string::npos);
-    EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);
-}
-
-TEST(Trace, EmptyTimeline) {
-    EXPECT_TRUE(render_timeline({}, 40).empty());
-    std::vector<std::vector<TraceEvent>> ranks(1);
-    EXPECT_TRUE(render_timeline(ranks, 40).empty());
-}
-
-TEST(Trace, SummaryAggregatesByKind) {
-    std::vector<TraceEvent> evs = {
-        {TraceEvent::Kind::Compute, 0.0, 4.0, -1, 0},
-        {TraceEvent::Kind::Send, 4.0, 4.5, 1, 8},
-        {TraceEvent::Kind::Send, 4.5, 5.0, 2, 8},
-        {TraceEvent::Kind::Recv, 5.0, 7.0, 1, 8},
-        {TraceEvent::Kind::Sync, 7.0, 7.5, -1, 0},
-        {TraceEvent::Kind::Copy, 7.5, 8.0, -1, 64},
-    };
-    const TraceSummary s = summarize(evs);
-    EXPECT_DOUBLE_EQ(s.compute_us, 4.0);
-    EXPECT_DOUBLE_EQ(s.send_us, 1.0);
-    EXPECT_DOUBLE_EQ(s.recv_us, 2.0);
-    EXPECT_DOUBLE_EQ(s.sync_us, 0.5);
-    EXPECT_DOUBLE_EQ(s.copy_us, 0.5);
-    EXPECT_DOUBLE_EQ(s.communication_us(), 3.5);
+    EXPECT_TRUE(hytrace::report::render_timeline({}, 40).empty());
+    EXPECT_TRUE(hytrace::report::render_timeline(traces, 0).empty());
 }
 
 TEST(Trace, SummaryShowsHybridCommunicationSavings) {
     // Per-rank communication time of the hybrid allgather vs the naive one
     // (children in the hybrid case spend only sync time).
-    auto comm_us = [](bool hybrid) {
-        RunOptions opts;
-        opts.trace = true;
-        Runtime rt(ClusterSpec::regular(2, 6), ModelParams::cray(),
-                   PayloadMode::SizeOnly, opts);
-        rt.run([hybrid](Comm& world) {
-            if (hybrid) {
-                hympi::HierComm hc(world);
-                hympi::AllgatherChannel ch(hc, 8192);
-                ch.run();
-            } else {
-                allgather(world, nullptr, 1024, nullptr, Datatype::Double);
-            }
-        });
-        double total = 0;
-        for (const auto& evs : rt.last_traces()) {
-            total += summarize(evs).communication_us();
-        }
-        return total;
-    };
-    EXPECT_LT(comm_us(true), 0.5 * comm_us(false));
+    EXPECT_LT(communication_us(allgather_spans(true)),
+              0.5 * communication_us(allgather_spans(false)));
 }
 
 // ---------------------------------------------------------------------------
