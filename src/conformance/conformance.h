@@ -170,14 +170,6 @@ namespace detail {
 /// splitmix64 — the harness's deterministic stream mixer.
 std::uint64_t mix64(std::uint64_t x);
 
-/// Deterministic payload byte for (seed, rank-ish salt, byte index).
-inline std::byte pattern_byte(std::uint64_t seed, std::uint64_t salt,
-                              std::size_t i) {
-    return static_cast<std::byte>(
-        mix64(seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^ (i >> 3)) >>
-        ((i & 7) * 8));
-}
-
 }  // namespace detail
 
 }  // namespace conformance

@@ -7,6 +7,7 @@
 #include "conformance/conformance.h"
 #include "minimpi/coll.h"
 #include "minimpi/context.h"
+#include "robust/checksum.h"
 
 namespace conformance {
 
@@ -26,7 +27,7 @@ using minimpi::PersistentColl;
 using minimpi::RankCtx;
 using minimpi::VTime;
 using detail::mix64;
-using detail::pattern_byte;
+using hympi::robust::fill_pattern;
 
 /// Per-rank findings. Each rank thread writes only its own entry, so the
 /// vector needs no locking; after the join the lowest failing rank wins
@@ -69,11 +70,6 @@ std::uint64_t salt_of(int iter, int a, int b = 0) {
             << 40) |
            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 20) |
            static_cast<std::uint32_t>(b);
-}
-
-void fill_pattern(std::byte* dst, std::size_t n, std::uint64_t seed,
-                  std::uint64_t salt) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = pattern_byte(seed, salt, i);
 }
 
 /// Deterministic reduction inputs. Magnitudes stay small enough that Sum

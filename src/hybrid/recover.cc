@@ -6,26 +6,24 @@
 
 #include "hybrid/hy_trace.h"
 #include "minimpi/runtime.h"
+#include "robust/checksum.h"
 #include "robust/reliable.h"
 
 namespace hympi {
 
 namespace {
 
-/// FNV-1a over the agreement outcome: the failed set plus the survivor
+/// WordFold over the agreement outcome: the failed set plus the survivor
 /// list. Every survivor must compute the same digest, since agree_shrink
 /// finalizes both once under the op lock.
 std::uint64_t agreement_digest(const std::vector<int>& failed,
                                const minimpi::CommState& child) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-    };
+    robust::WordFold f;
+    auto mix = [&f](std::uint64_t v) { f.update(&v, sizeof v); };
     mix(static_cast<std::uint64_t>(failed.size()));
     for (int w : failed) mix(static_cast<std::uint64_t>(w) + 1);
     for (int w : child.members) mix((static_cast<std::uint64_t>(w) << 20) + 1);
-    return h;
+    return f.digest();
 }
 
 /// The ARQ confirmation leg: rank 0 of the shrunken comm collects every

@@ -23,8 +23,14 @@ Matrix Matrix::identity(std::size_t n) {
     return m;
 }
 
-void gemm_raw(const double* a, const double* b, double* c, std::size_t n,
-              std::size_t k, std::size_t m, double alpha) {
+// Cache-line aligned entry: the hot loop's placement then no longer
+// depends on how the surrounding code happens to link, which otherwise
+// swings its host time by tens of percent.
+__attribute__((aligned(64))) void gemm_raw(const double* __restrict a,
+                                           const double* __restrict b,
+                                           double* __restrict c,
+                                           std::size_t n, std::size_t k,
+                                           std::size_t m, double alpha) {
     // i-k-j loop order: unit-stride inner loop over both B and C.
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t l = 0; l < k; ++l) {
@@ -41,6 +47,9 @@ void gemm_raw(const double* a, const double* b, double* c, std::size_t n,
 void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c) {
     if (a.cols() != b.rows() || c.rows() != a.rows() || c.cols() != b.cols()) {
         throw std::invalid_argument("gemm: shape mismatch");
+    }
+    if (&c == &a || &c == &b) {
+        throw std::invalid_argument("gemm: C aliases an input");
     }
     gemm_raw(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols());
 }

@@ -50,7 +50,8 @@ private:
     std::vector<double> data_;
 };
 
-/// C += A * B (dimensions must agree: A r x k, B k x c, C r x c).
+/// C += A * B (dimensions must agree: A r x k, B k x c, C r x c). C must
+/// not be A or B (std::invalid_argument otherwise).
 void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A * B.
@@ -58,8 +59,11 @@ Matrix gemm(const Matrix& a, const Matrix& b);
 
 /// C += alpha * A * B on raw row-major buffers (used by SUMMA's block
 /// kernel, which works on shared-window memory rather than Matrix objects).
-void gemm_raw(const double* a, const double* b, double* c, std::size_t n,
-              std::size_t k, std::size_t m, double alpha = 1.0);
+/// C must not overlap A or B: the pointers are restrict-qualified so the
+/// inner loop vectorizes without runtime alias checks.
+void gemm_raw(const double* __restrict a, const double* __restrict b,
+              double* __restrict c, std::size_t n, std::size_t k,
+              std::size_t m, double alpha = 1.0);
 
 /// y = A * x.
 std::vector<double> gemv(const Matrix& a, std::span<const double> x);

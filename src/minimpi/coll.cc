@@ -1,6 +1,7 @@
 #include "minimpi/coll.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "minimpi/coll_internal.h"
 #include "minimpi/error.h"
@@ -13,10 +14,27 @@ namespace detail {
 
 namespace {
 
+/// Element i of a T array that may start at any byte offset: CollBatcher's
+/// fused window packs operands back to back, so `in` need not be aligned.
+template <typename T>
+class UnalignedArray {
+public:
+    explicit UnalignedArray(const void* p)
+        : p_(static_cast<const unsigned char*>(p)) {}
+    T operator[](std::size_t i) const {
+        T v;
+        std::memcpy(&v, p_ + i * sizeof(T), sizeof(T));
+        return v;
+    }
+
+private:
+    const unsigned char* p_;
+};
+
 template <typename T>
 void apply_arith(Op op, void* inout, const void* in, std::size_t count) {
     T* a = static_cast<T*>(inout);
-    const T* b = static_cast<const T*>(in);
+    const UnalignedArray<T> b(in);
     switch (op) {
         case Op::Sum:
             for (std::size_t i = 0; i < count; ++i) a[i] = a[i] + b[i];

@@ -1,24 +1,80 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace hympi::robust {
 
-/// FNV-1a 64-bit over a byte range. Self-contained and platform-stable so
-/// frame checksums replay identically everywhere (same property the fault
-/// plan's splitmix64 stream relies on).
-inline std::uint64_t fnv1a64(const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
+/// @p w as stored little-endian (identity on little-endian hosts).
+inline std::uint64_t to_le64(std::uint64_t w) {
+    if constexpr (std::endian::native == std::endian::big) {
+        return __builtin_bswap64(w);
     }
-    return h;
+    return w;
 }
 
-/// Frame checksum: the payload sum bound to the header's gen and length
+/// Streaming FNV-1a-style fold over little-endian 64-bit words: per word,
+/// h ^= w; h *= 0x100000001b3. Bytes pack into words in stream order and a
+/// partial word carries across update() calls, so the digest depends only
+/// on the concatenated byte stream, never on how it was split into calls.
+/// For a fixed word each step is a bijection of h, so changing any single
+/// word — hence any single byte — always changes the digest. Words are read
+/// little-endian on every host, so digests and frame checksums replay
+/// identically everywhere (the property the fault plan's splitmix64 stream
+/// relies on too).
+class WordFold {
+public:
+    static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
+    static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+
+    explicit WordFold(std::uint64_t seed = kOffset) : h_(seed) {}
+
+    void update(const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        std::size_t have = len_ & 7;
+        len_ += n;
+        if (have != 0) {  // top up the pending partial word first
+            for (; n > 0 && have < 8; --n, ++have) {
+                tail_ |= std::uint64_t{*p++} << (8 * have);
+            }
+            if (have < 8) return;
+            h_ = (h_ ^ tail_) * kPrime;
+            tail_ = 0;
+        }
+        // Fold in a local: h_ could alias the input bytes, which would
+        // otherwise force a store of h_ on every word.
+        std::uint64_t h = h_;
+        for (; n >= 8; n -= 8, p += 8) h = (h ^ load_le64(p)) * kPrime;
+        h_ = h;
+        for (std::size_t i = 0; i < n; ++i) {
+            tail_ |= std::uint64_t{p[i]} << (8 * i);
+        }
+    }
+
+    /// Digest of the stream so far: the pending partial word (zero-padded),
+    /// then the stream length, so trailing zero bytes still count. Folding
+    /// may continue afterwards.
+    std::uint64_t digest() const {
+        std::uint64_t h = h_;
+        if ((len_ & 7) != 0) h = (h ^ tail_) * kPrime;
+        return (h ^ len_) * kPrime;
+    }
+
+private:
+    static std::uint64_t load_le64(const unsigned char* p) {
+        std::uint64_t w;
+        std::memcpy(&w, p, sizeof(w));
+        return to_le64(w);
+    }
+
+    std::uint64_t h_;
+    std::uint64_t tail_ = 0;  ///< pending partial word, first byte lowest
+    std::uint64_t len_ = 0;   ///< bytes folded so far
+};
+
+/// Frame checksum: the payload fold bound to the header's gen and length
 /// fields. Binding the header means a corrupted gen/bytes byte fails
 /// verification (and is NACKed) instead of masquerading as a stale frame —
 /// a stale classification is only trusted when the whole frame proves
@@ -26,18 +82,39 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t bytes) {
 /// retransmissions need not re-checksum.
 inline std::uint64_t frame_checksum(const void* payload, std::size_t n,
                                     std::uint64_t gen, std::uint64_t bytes) {
-    std::uint64_t h = fnv1a64(payload, n);
-    h = (h ^ gen) * 0x100000001b3ULL;
-    h = (h ^ bytes) * 0x100000001b3ULL;
+    WordFold f;
+    f.update(payload, n);
+    std::uint64_t h = f.digest();
+    h = (h ^ gen) * WordFold::kPrime;
+    h = (h ^ bytes) * WordFold::kPrime;
     return h;
 }
 
-/// splitmix64 — deterministic jitter stream for retry backoff.
+/// splitmix64 — deterministic jitter stream for retry backoff, and the
+/// mixer behind every seeded payload pattern.
 inline std::uint64_t mix64(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
+}
+
+/// Deterministic payload bytes for (seed, salt): byte i is byte (i % 8) of
+/// mix64(seed ^ (salt * golden) ^ (i / 8)), little-endian. One mix64 per
+/// word; platform-stable.
+inline void fill_pattern(std::byte* out, std::size_t n, std::uint64_t seed,
+                         std::uint64_t salt) {
+    const std::uint64_t key = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
+    std::size_t i = 0;
+    std::uint64_t k = 0;
+    for (; i + 8 <= n; i += 8, ++k) {
+        const std::uint64_t w = to_le64(mix64(key ^ k));
+        std::memcpy(out + i, &w, 8);
+    }
+    if (i < n) {
+        const std::uint64_t w = to_le64(mix64(key ^ k));
+        std::memcpy(out + i, &w, n - i);
+    }
 }
 
 }  // namespace hympi::robust

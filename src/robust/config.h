@@ -34,8 +34,9 @@ struct RobustConfig {
     /// deterministic jitter in [0.5, 1.5).
     double backoff_base_us = 2.0;
 
-    /// Verify a per-partition FNV-1a checksum on every DATA frame. The
-    /// checksum scan cost is charged in both payload modes so Real and
+    /// Verify a per-partition checksum (frame_checksum: a WordFold over
+    /// the payload, bound to gen and length) on every DATA frame. The scan
+    /// cost is charged by byte count in both payload modes, so Real and
     /// SizeOnly timings agree under drop/dup plans.
     bool checksums = true;
 

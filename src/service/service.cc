@@ -15,6 +15,7 @@
 #include "bench_util/latency.h"
 #include "hybrid/hympi.h"
 #include "minimpi/trace_span.h"
+#include "robust/checksum.h"
 
 namespace service {
 
@@ -28,33 +29,16 @@ using minimpi::VTime;
 
 namespace {
 
-/// splitmix64 (the same mixer the conformance harness uses) — every random
-/// choice in the service is a pure function of (cfg.seed, tenant, draw
-/// index), never of host scheduling.
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
+using hympi::robust::fill_pattern;
+using hympi::robust::mix64;
+using hympi::robust::WordFold;
 
 /// Uniform in [0, 1) with a 53-bit dyadic-rational mantissa — exact in
 /// IEEE double arithmetic, so schedules are byte-stable across platforms.
+/// Every random choice in the service is a pure function of (cfg.seed,
+/// tenant, draw index), never of host scheduling.
 double u01(std::uint64_t x) {
     return static_cast<double>(mix64(x) >> 11) * 0x1.0p-53;
-}
-
-std::byte pattern_byte(std::uint64_t seed, std::uint64_t salt, std::size_t i) {
-    return static_cast<std::byte>(
-        mix64(seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^ (i >> 3)) >>
-        ((i & 7) * 8));
-}
-
-void fold_bytes(std::uint64_t& h, const std::byte* p, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= std::to_integer<std::uint64_t>(p[i]);
-        h *= 1099511628211ULL;  // FNV-1a
-    }
 }
 
 /// Host-side coordination of one job: the member ranks meet here to create
@@ -119,7 +103,7 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                       int mpos) {
     const bool real = cfg.payload == PayloadMode::Real;
     const int n = jc.size();
-    std::uint64_t h = 1469598103934665603ULL ^ mix64(job.seed);
+    WordFold digest(WordFold::kOffset ^ mix64(job.seed));
 
     std::optional<hympi::HierComm> hc;
     std::optional<hympi::AllgatherChannel> chan;
@@ -142,11 +126,9 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
         for (const Posted& p : posted) {
             if (!real) break;
             if (p.kind == OpKind::Allreduce) {
-                fold_bytes(h,
-                           reinterpret_cast<const std::byte*>(p.rout.data()),
-                           p.cnt * sizeof(double));
+                digest.update(p.rout.data(), p.cnt * sizeof(double));
             } else {
-                fold_bytes(h, p.recv.data(), p.recv.size());
+                digest.update(p.recv.data(), p.recv.size());
             }
         }
         posted.clear();
@@ -173,9 +155,8 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                     if (real) {
                         p.recv.assign(op.bytes, std::byte{0});
                         if (mpos == root) {
-                            for (std::size_t i = 0; i < op.bytes; ++i) {
-                                p.recv[i] = pattern_byte(job.seed, salt, i);
-                            }
+                            fill_pattern(p.recv.data(), op.bytes, job.seed,
+                                         salt);
                         }
                     }
                     p.req = batcher->post_bcast(
@@ -195,9 +176,8 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                     if (real) {
                         p.recv.assign(op.bytes, std::byte{0});
                         if (mpos == root) {
-                            for (std::size_t i = 0; i < op.bytes; ++i) {
-                                p.recv[i] = pattern_byte(job.seed, salt, i);
-                            }
+                            fill_pattern(p.recv.data(), op.bytes, job.seed,
+                                         salt);
                         }
                     }
                     minimpi::bcast(jc, real ? p.recv.data() : nullptr,
@@ -208,13 +188,12 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                 if (real) {
                     recvbuf.assign(op.bytes, std::byte{0});
                     if (mpos == root) {
-                        for (std::size_t i = 0; i < op.bytes; ++i) {
-                            recvbuf[i] = pattern_byte(job.seed, salt, i);
-                        }
+                        fill_pattern(recvbuf.data(), op.bytes, job.seed,
+                                     salt);
                     }
                     minimpi::bcast(jc, recvbuf.data(), op.bytes,
                                    minimpi::Datatype::Byte, root);
-                    fold_bytes(h, recvbuf.data(), op.bytes);
+                    digest.update(recvbuf.data(), op.bytes);
                 } else {
                     minimpi::bcast(jc, nullptr, op.bytes,
                                    minimpi::Datatype::Byte, root);
@@ -227,11 +206,8 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                     p.kind = OpKind::Allgather;
                     if (real) {
                         p.send.resize(op.bytes);
-                        for (std::size_t i = 0; i < op.bytes; ++i) {
-                            p.send[i] = pattern_byte(
-                                job.seed,
-                                salt + static_cast<std::uint64_t>(mpos), i);
-                        }
+                        fill_pattern(p.send.data(), op.bytes, job.seed,
+                                     salt + static_cast<std::uint64_t>(mpos));
                         p.recv.assign(op.bytes * static_cast<std::size_t>(n),
                                       std::byte{0});
                     }
@@ -250,18 +226,14 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                         chan.emplace(*hc, op.bytes);
                     }
                     if (real) {
-                        std::byte* mb = chan->my_block();
-                        for (std::size_t i = 0; i < op.bytes; ++i) {
-                            mb[i] = pattern_byte(
-                                job.seed, salt + static_cast<std::uint64_t>(mpos),
-                                i);
-                        }
+                        fill_pattern(chan->my_block(), op.bytes, job.seed,
+                                     salt + static_cast<std::uint64_t>(mpos));
                     }
                     chan->run();
                     if (real) {
                         for (int r = 0; r < n; ++r) {
-                            fold_bytes(h, chan->block_of(r),
-                                       chan->block_size(r));
+                            digest.update(chan->block_of(r),
+                                          chan->block_size(r));
                         }
                     }
                     // Read phase over; the next iteration rewrites
@@ -270,11 +242,8 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                 } else {
                     if (real) {
                         sendbuf.resize(op.bytes);
-                        for (std::size_t i = 0; i < op.bytes; ++i) {
-                            sendbuf[i] = pattern_byte(
-                                job.seed, salt + static_cast<std::uint64_t>(mpos),
-                                i);
-                        }
+                        fill_pattern(sendbuf.data(), op.bytes, job.seed,
+                                     salt + static_cast<std::uint64_t>(mpos));
                         recvbuf.assign(op.bytes * static_cast<std::size_t>(n),
                                        std::byte{0});
                     }
@@ -282,7 +251,7 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                                        op.bytes,
                                        real ? recvbuf.data() : nullptr,
                                        minimpi::Datatype::Byte);
-                    if (real) fold_bytes(h, recvbuf.data(), recvbuf.size());
+                    if (real) digest.update(recvbuf.data(), recvbuf.size());
                 }
                 break;
             }
@@ -336,9 +305,7 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                     minimpi::allreduce(jc, in.data(), out.data(), cnt,
                                        minimpi::Datatype::Double,
                                        minimpi::Op::Sum);
-                    fold_bytes(h,
-                               reinterpret_cast<const std::byte*>(out.data()),
-                               cnt * sizeof(double));
+                    digest.update(out.data(), cnt * sizeof(double));
                 } else {
                     minimpi::allreduce(jc, nullptr, nullptr, cnt,
                                        minimpi::Datatype::Double,
@@ -349,7 +316,7 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
         }
     }
     drain();
-    return h;
+    return digest.digest();
 }
 
 }  // namespace

@@ -114,9 +114,11 @@ struct JobResult {
     minimpi::VTime finish = 0.0;  ///< max over members' completion clocks
     double latency_us = 0.0;      ///< finish - arrival (queueing included)
     int ops = 0;
-    /// FNV-1a digest over every member's op result bytes (0 in SizeOnly
-    /// mode). Contention may move clocks but never payloads, so this is
-    /// identical between a tenant's solo and concurrent runs.
+    /// Digest over every member's op result bytes: per member, one
+    /// robust::WordFold streamed over its result buffers in op order (it
+    /// folds no bytes in SizeOnly mode), the members then combined by mix64.
+    /// Contention may move clocks but never payloads, so this is identical
+    /// between a tenant's solo and concurrent runs.
     std::uint64_t digest = 0;
 };
 

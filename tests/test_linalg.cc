@@ -75,6 +75,16 @@ TEST(Matrix, GemmShapeMismatchThrows) {
     EXPECT_THROW(gemm_acc(a, b, c), std::invalid_argument);
 }
 
+TEST(Matrix, GemmAliasedOutputThrows) {
+    // gemm_raw's buffers are restrict-qualified, so C may not be A or B.
+    Matrix a = Matrix::identity(3);
+    Matrix b = Matrix::identity(3);
+    EXPECT_THROW(gemm_acc(a, b, a), std::invalid_argument);
+    EXPECT_THROW(gemm_acc(a, b, b), std::invalid_argument);
+    EXPECT_THROW(gemm_acc(a, a, a), std::invalid_argument);
+    EXPECT_EQ(a, Matrix::identity(3));  // rejected before any write
+}
+
 TEST(Matrix, GemvMatchesGemm) {
     Rng rng(3);
     const Matrix a = random_matrix(rng, 6, 4);

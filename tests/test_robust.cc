@@ -46,7 +46,90 @@ void expect_pattern(const std::byte* p, int rank, std::size_t n,
     }
 }
 
+/// The per-byte payload formula fill_pattern replaced.
+std::byte pattern_byte(std::uint64_t seed, std::uint64_t salt, std::size_t i) {
+    return static_cast<std::byte>(
+        robust::mix64(seed ^ (salt * 0x9e3779b97f4a7c15ULL) ^ (i >> 3)) >>
+        ((i & 7) * 8));
+}
+
+std::vector<std::byte> fold_input(std::size_t n) {
+    std::vector<std::byte> buf(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        buf[i] = static_cast<std::byte>((i * 131 + 7) & 0xFF);
+    }
+    return buf;
+}
+
+std::uint64_t fold_whole(const std::vector<std::byte>& buf) {
+    robust::WordFold f;
+    f.update(buf.data(), buf.size());
+    return f.digest();
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Word-at-a-time fold (frame checksums, service digests) and pattern fill
+// ---------------------------------------------------------------------------
+
+TEST(Checksum, FoldIsIndependentOfHowTheStreamIsSplit) {
+    const std::vector<std::byte> buf = fold_input(67);
+    const std::uint64_t whole = fold_whole(buf);
+    for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+        robust::WordFold f;
+        f.update(buf.data(), cut);
+        f.update(buf.data() + cut, buf.size() - cut);
+        EXPECT_EQ(f.digest(), whole) << "split at " << cut;
+    }
+    robust::WordFold bytewise;
+    for (const std::byte& b : buf) bytewise.update(&b, 1);
+    EXPECT_EQ(bytewise.digest(), whole);
+}
+
+TEST(Checksum, AnySingleByteFlipChangesTheFold) {
+    const std::vector<std::byte> buf = fold_input(67);
+    const std::uint64_t whole = fold_whole(buf);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            std::vector<std::byte> bad = buf;
+            bad[i] ^= static_cast<std::byte>(1u << bit);
+            EXPECT_NE(fold_whole(bad), whole) << "byte " << i << " bit " << bit;
+        }
+        std::vector<std::byte> bad = buf;
+        bad[i] ^= std::byte{0xFF};
+        EXPECT_NE(fold_whole(bad), whole) << "byte " << i;
+    }
+}
+
+TEST(Checksum, TrailingZeroBytesChangeTheFold) {
+    std::vector<std::byte> buf = fold_input(13);
+    const std::uint64_t short_sum = fold_whole(buf);
+    buf.push_back(std::byte{0});
+    EXPECT_NE(fold_whole(buf), short_sum);
+}
+
+TEST(Checksum, FramesBindGenAndLength) {
+    const std::vector<std::byte> buf = fold_input(29);
+    const std::uint64_t sum = robust::frame_checksum(buf.data(), buf.size(), 5, 29);
+    EXPECT_NE(robust::frame_checksum(buf.data(), buf.size(), 6, 29), sum);
+    EXPECT_NE(robust::frame_checksum(buf.data(), buf.size(), 5, 30), sum);
+    EXPECT_EQ(robust::frame_checksum(buf.data(), buf.size(), 5, 29), sum);
+}
+
+TEST(Checksum, FillPatternMatchesThePerByteFormula) {
+    for (const std::uint64_t salt : {0ULL, 1ULL, 0x10000ULL, 0x7FFFFFFFULL}) {
+        for (std::size_t n = 0; n <= 33; ++n) {
+            std::vector<std::byte> got(n + 1, std::byte{0xEE});
+            robust::fill_pattern(got.data(), n, 42, salt);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(got[i], pattern_byte(42, salt, i))
+                    << "n " << n << " salt " << salt << " byte " << i;
+            }
+            EXPECT_EQ(got[n], std::byte{0xEE}) << "wrote past n = " << n;
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Fault-injection primitives (satellite: drop / duplication in Transport)
