@@ -2,23 +2,13 @@
 #include <sstream>
 
 #include "conformance/conformance.h"
+#include "robust/checksum.h"
 
 namespace conformance {
 
-namespace detail {
-
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace detail
-
 namespace {
 
-using detail::mix64;
+using hympi::robust::mix64;
 
 /// Minimal counter-based stream: draw(k) is the k-th value of the stream —
 /// order-independent, so generation and derivation never get entangled.

@@ -165,11 +165,4 @@ HarnessReport run_random_cases(std::uint64_t master_seed, int ncases,
                                bool with_faults = true,
                                bool with_kills = false);
 
-namespace detail {
-
-/// splitmix64 — the harness's deterministic stream mixer.
-std::uint64_t mix64(std::uint64_t x);
-
-}  // namespace detail
-
 }  // namespace conformance

@@ -26,8 +26,8 @@ using minimpi::Datatype;
 using minimpi::PersistentColl;
 using minimpi::RankCtx;
 using minimpi::VTime;
-using detail::mix64;
 using hympi::robust::fill_pattern;
+using hympi::robust::mix64;
 
 /// Per-rank findings. Each rank thread writes only its own entry, so the
 /// vector needs no locking; after the join the lowest failing rank wins

@@ -15,12 +15,26 @@ inline std::uint64_t to_le64(std::uint64_t w) {
     return w;
 }
 
-/// Streaming FNV-1a-style fold over little-endian 64-bit words: per word,
-/// h ^= w; h *= 0x100000001b3. Bytes pack into words in stream order and a
-/// partial word carries across update() calls, so the digest depends only
-/// on the concatenated byte stream, never on how it was split into calls.
-/// For a fixed word each step is a bijection of h, so changing any single
-/// word — hence any single byte — always changes the digest. Words are read
+/// splitmix64 — deterministic jitter stream for retry backoff, the mixer
+/// behind every seeded payload pattern, and WordFold's per-word mixer.
+inline std::uint64_t mix64(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/// Streaming fold over little-endian 64-bit words: per word,
+/// h = (h ^ mix64(w)) * 0x100000001b3. Bytes pack into words in stream
+/// order and a partial word carries across update() calls, so the digest
+/// depends only on the concatenated byte stream, never on how it was split
+/// into calls. mix64 is a bijection and so is each step in h for a fixed
+/// word, so changing any single word — hence any single byte — always
+/// changes the digest. The mix64 matters for multi-bit errors: a multiply
+/// alone only carries a change upward, so without it flipping bit 63 (a
+/// double's sign) in any two words would cancel out. mix64 spreads every
+/// bit of the word over the whole state first, and it sits off the
+/// dependency chain through h, so it costs almost nothing. Words are read
 /// little-endian on every host, so digests and frame checksums replay
 /// identically everywhere (the property the fault plan's splitmix64 stream
 /// relies on too).
@@ -40,13 +54,13 @@ public:
                 tail_ |= std::uint64_t{*p++} << (8 * have);
             }
             if (have < 8) return;
-            h_ = (h_ ^ tail_) * kPrime;
+            h_ = step(h_, tail_);
             tail_ = 0;
         }
         // Fold in a local: h_ could alias the input bytes, which would
         // otherwise force a store of h_ on every word.
         std::uint64_t h = h_;
-        for (; n >= 8; n -= 8, p += 8) h = (h ^ load_le64(p)) * kPrime;
+        for (; n >= 8; n -= 8, p += 8) h = step(h, load_le64(p));
         h_ = h;
         for (std::size_t i = 0; i < n; ++i) {
             tail_ |= std::uint64_t{p[i]} << (8 * i);
@@ -58,11 +72,15 @@ public:
     /// may continue afterwards.
     std::uint64_t digest() const {
         std::uint64_t h = h_;
-        if ((len_ & 7) != 0) h = (h ^ tail_) * kPrime;
+        if ((len_ & 7) != 0) h = step(h, tail_);
         return (h ^ len_) * kPrime;
     }
 
 private:
+    static std::uint64_t step(std::uint64_t h, std::uint64_t w) {
+        return (h ^ mix64(w)) * kPrime;
+    }
+
     static std::uint64_t load_le64(const unsigned char* p) {
         std::uint64_t w;
         std::memcpy(&w, p, sizeof(w));
@@ -88,15 +106,6 @@ inline std::uint64_t frame_checksum(const void* payload, std::size_t n,
     h = (h ^ gen) * WordFold::kPrime;
     h = (h ^ bytes) * WordFold::kPrime;
     return h;
-}
-
-/// splitmix64 — deterministic jitter stream for retry backoff, and the
-/// mixer behind every seeded payload pattern.
-inline std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 /// Deterministic payload bytes for (seed, salt): byte i is byte (i % 8) of

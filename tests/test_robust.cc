@@ -102,6 +102,43 @@ TEST(Checksum, AnySingleByteFlipChangesTheFold) {
     }
 }
 
+TEST(Checksum, AnyTwoBitFlipChangesTheFold) {
+    const std::vector<std::byte> buf = fold_input(67);
+    const std::uint64_t whole = fold_whole(buf);
+    const std::size_t bits = buf.size() * 8;
+    auto flip = [](std::vector<std::byte>& b, std::size_t bit) {
+        b[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    };
+    for (std::size_t i = 0; i < bits; ++i) {
+        for (std::size_t j = i + 1; j < bits; ++j) {
+            std::vector<std::byte> bad = buf;
+            flip(bad, i);
+            flip(bad, j);
+            ASSERT_NE(fold_whole(bad), whole) << "bits " << i << " and " << j;
+        }
+    }
+}
+
+TEST(Checksum, SignFlipsInTwoWordsDoNotCancel) {
+    // Bit 63 of a word is a double's sign. A fold that only multiplies keeps
+    // a bit-63 change in bit 63, so a second one cancels it; a fold that
+    // also xor-shifts h down by 32 is cancelled by bits 63 and 31 of the
+    // next word.
+    const std::vector<std::byte> buf = fold_input(67);
+    const std::uint64_t whole = fold_whole(buf);
+    std::vector<std::byte> two_signs = buf;
+    two_signs[7] ^= std::byte{0x80};   // word 0, bit 63
+    two_signs[15] ^= std::byte{0x80};  // word 1, bit 63
+    EXPECT_NE(fold_whole(two_signs), whole);
+    std::vector<std::byte> sign_and_bit31 = buf;
+    sign_and_bit31[7] ^= std::byte{0x80};   // word 0, bit 63
+    sign_and_bit31[11] ^= std::byte{0x80};  // word 1, bit 31
+    sign_and_bit31[15] ^= std::byte{0x80};  // word 1, bit 63
+    EXPECT_NE(fold_whole(sign_and_bit31), whole);
+    EXPECT_NE(robust::frame_checksum(two_signs.data(), two_signs.size(), 1, 67),
+              robust::frame_checksum(buf.data(), buf.size(), 1, 67));
+}
+
 TEST(Checksum, TrailingZeroBytesChangeTheFold) {
     std::vector<std::byte> buf = fold_input(13);
     const std::uint64_t short_sum = fold_whole(buf);
