@@ -17,6 +17,7 @@
 /// minimal reproducer (seed + topology + size) before being reported.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -160,9 +161,11 @@ struct HarnessReport {
 };
 
 /// Generate and check @p ncases specs. Stops at the first failure, shrinks
-/// it, and formats the minimized reproducer into the report.
-HarnessReport run_random_cases(std::uint64_t master_seed, int ncases,
-                               bool with_faults = true,
-                               bool with_kills = false);
+/// it, and formats the minimized reproducer into the report. @p on_case,
+/// when set, is called with each case's index and spec before it runs.
+HarnessReport run_random_cases(
+    std::uint64_t master_seed, int ncases, bool with_faults = true,
+    bool with_kills = false,
+    const std::function<void(int, const CaseSpec&)>& on_case = {});
 
 }  // namespace conformance

@@ -212,12 +212,14 @@ CaseSpec shrink(const CaseSpec& failing, int max_runs) {
     return cur;
 }
 
-HarnessReport run_random_cases(std::uint64_t master_seed, int ncases,
-                               bool with_faults, bool with_kills) {
+HarnessReport run_random_cases(
+    std::uint64_t master_seed, int ncases, bool with_faults, bool with_kills,
+    const std::function<void(int, const CaseSpec&)>& on_case) {
     HarnessReport rep;
     for (int i = 0; i < ncases; ++i) {
         const CaseSpec spec =
             generate_case(master_seed, i, with_faults, with_kills);
+        if (on_case) on_case(i, spec);
         ++rep.cases;
         const CaseResult res = run_case_checked(spec);
         if (res.ok) continue;

@@ -60,7 +60,9 @@ Matrix gemm(const Matrix& a, const Matrix& b);
 /// C += alpha * A * B on raw row-major buffers (used by SUMMA's block
 /// kernel, which works on shared-window memory rather than Matrix objects).
 /// C must not overlap A or B: the pointers are restrict-qualified so the
-/// inner loop vectorizes without runtime alias checks.
+/// inner loop vectorizes without runtime alias checks. Runs a
+/// register-blocked AVX-512 kernel where the CPU has AVX-512F and the plain
+/// i-k-j loop elsewhere; both give the same bits (linalg/gemm_kernels.h).
 void gemm_raw(const double* __restrict a, const double* __restrict b,
               double* __restrict c, std::size_t n, std::size_t k,
               std::size_t m, double alpha = 1.0);

@@ -13,7 +13,9 @@
 // asserts every tenant's per-job digests are byte-identical to the same
 // tenant running solo (cross-tenant contention may reorder time, never
 // bytes). --list prints each case spec without running it (useful to
-// eyeball what a seed covers). Exit code 0 = all cases passed.
+// eyeball what a seed covers). Before running a case it prints that case's
+// --list line to stderr, flushed, so a run that is killed or hangs names its
+// case. Exit code 0 = all cases passed.
 
 #include <cstdint>
 #include <cstdio>
@@ -54,6 +56,23 @@ service::ServiceConfig service_case(std::uint64_t seed, int k) {
     return cfg;
 }
 
+/// A case's one-line description: --list prints it to stdout, and a run
+/// prints it to stderr (flushed) just before the case starts.
+void print_case(std::FILE* out, int i, const conformance::CaseSpec& spec) {
+    std::fprintf(out, "case %4d: %s\n", i, spec.describe().c_str());
+    std::fflush(out);
+}
+
+void print_service_case(std::FILE* out, int i,
+                        const service::ServiceConfig& cfg) {
+    std::fprintf(out,
+                 "service case %4d: %d tenants on %dx%d, seed=%llu, qos=%s\n",
+                 i, cfg.tenants, cfg.nodes, cfg.ppn,
+                 static_cast<unsigned long long>(cfg.seed),
+                 service::qos_name(cfg.qos));
+    std::fflush(out);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,25 +104,22 @@ int main(int argc, char** argv) {
 
     if (list_only) {
         for (int i = 0; i < cases; ++i) {
-            const auto spec =
-                conformance::generate_case(seed, i, with_faults, with_kills);
-            std::printf("case %4d: %s\n", i, spec.describe().c_str());
+            print_case(stdout, i,
+                       conformance::generate_case(seed, i, with_faults,
+                                                  with_kills));
         }
         for (int i = 0; i < service_cases; ++i) {
-            const auto cfg = service_case(seed, i);
-            std::printf(
-                "service case %4d: %d tenants on %dx%d, seed=%llu, qos=%s\n",
-                i, cfg.tenants, cfg.nodes, cfg.ppn,
-                static_cast<unsigned long long>(cfg.seed),
-                service::qos_name(cfg.qos));
+            print_service_case(stdout, i, service_case(seed, i));
         }
         return 0;
     }
 
     if (cases > 0) {
-        const auto report = conformance::run_random_cases(seed, cases,
-                                                          with_faults,
-                                                          with_kills);
+        const auto report = conformance::run_random_cases(
+            seed, cases, with_faults, with_kills,
+            [](int i, const conformance::CaseSpec& spec) {
+                print_case(stderr, i, spec);
+            });
         if (report.failures != 0) {
             std::fprintf(stderr, "conformance FAILURE after %d cases:\n%s\n",
                          report.cases, report.first_failure.c_str());
@@ -116,6 +132,7 @@ int main(int argc, char** argv) {
 
     for (int i = 0; i < service_cases; ++i) {
         const auto cfg = service_case(seed, i);
+        print_service_case(stderr, i, cfg);
         const std::string err = service::verify_isolation(cfg);
         if (!err.empty()) {
             std::fprintf(stderr,

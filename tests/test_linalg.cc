@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/cholesky.h"
+#include "linalg/gemm_kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
 
@@ -29,6 +31,50 @@ Matrix random_spd(Rng& rng, std::size_t n) {
         }
     }
     return spd;
+}
+
+using GemmKernel = void (*)(const double*, const double*, double*,
+                           std::size_t, std::size_t, std::size_t, double);
+
+/// C += alpha * A * B as the plain i-k-j loop, written out independently of
+/// the library: every kernel must reproduce these bits exactly.
+void reference_gemm(const double* a, const double* b, double* c,
+                    std::size_t n, std::size_t k, std::size_t m,
+                    double alpha) {
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t l = 0; l < k; ++l) {
+            const double av = alpha * a[i * k + l];
+            for (std::size_t j = 0; j < m; ++j) {
+                c[i * m + j] += av * b[l * m + j];
+            }
+        }
+    }
+}
+
+/// Runs @p kernel over every n, k, m drawn from sizes that hit both the
+/// register blocks (multiples of 4 rows and 32 columns) and the odd edges,
+/// and compares C with the reference byte for byte.
+void expect_bit_identical_to_reference(GemmKernel kernel) {
+    const std::size_t sizes[] = {1, 3, 5, 16, 37, 128};
+    constexpr double kAlpha = 0.7;
+    Rng rng(17);
+    for (std::size_t n : sizes) {
+        for (std::size_t k : sizes) {
+            for (std::size_t m : sizes) {
+                const Matrix a = random_matrix(rng, n, k);
+                const Matrix b = random_matrix(rng, k, m);
+                Matrix want = random_matrix(rng, n, m);
+                Matrix got = want;
+                reference_gemm(a.data(), b.data(), want.data(), n, k, m,
+                               kAlpha);
+                kernel(a.data(), b.data(), got.data(), n, k, m, kAlpha);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      n * m * sizeof(double)),
+                          0)
+                    << "n=" << n << " k=" << k << " m=" << m;
+            }
+        }
+    }
 }
 
 }  // namespace
@@ -187,4 +233,17 @@ TEST(Linalg, GemmRawAccumulatesWithAlpha) {
     EXPECT_DOUBLE_EQ(c[1], 2 * 22 + 1);
     EXPECT_DOUBLE_EQ(c[2], 2 * 43 + 1);
     EXPECT_DOUBLE_EQ(c[3], 2 * 50 + 1);
+}
+
+TEST(Linalg, GemmRawIsBitIdenticalToPlainLoop) {
+    expect_bit_identical_to_reference(&gemm_raw);
+}
+
+TEST(Linalg, GemmAvx512KernelIsBitIdenticalToPlainLoop) {
+    if (!detail::cpu_has_avx512f()) GTEST_SKIP() << "CPU lacks AVX-512F";
+    expect_bit_identical_to_reference(&detail::gemm_avx512);
+}
+
+TEST(Linalg, GemmPlainKernelIsBitIdenticalToPlainLoop) {
+    expect_bit_identical_to_reference(&detail::gemm_plain);
 }
