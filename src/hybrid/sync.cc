@@ -1,36 +1,10 @@
 #include "hybrid/sync.h"
 
-#include <chrono>
-
 #include "hybrid/hy_trace.h"
 #include "minimpi/runtime.h"
 #include "minimpi/transport.h"
 
 namespace hympi {
-
-namespace {
-
-/// A flag this rank is waiting on is owned by a dead rank and was never
-/// published: the same deterministic detection accounting as a dead-peer
-/// receive — clock advances to death + watchdog_us, failures_detected
-/// counters bump, a Robust "detect" span covers the wait.
-[[noreturn]] void throw_flag_owner_dead(minimpi::RankCtx& ctx,
-                                        minimpi::Transport& tp, int owner) {
-    const VTime death = tp.death_vtime(owner);
-    const VTime watchdog =
-        ctx.robust_cfg != nullptr ? ctx.robust_cfg->watchdog_us : 0.0;
-    const VTime t0 = ctx.clock.now();
-    ctx.clock.sync_to(death + watchdog);
-    ctx.robust_stats.failures_detected += 1;
-    HYTRACE_COUNTER(ctx, failures_detected, 1);
-    if (hytrace::Span* s = minimpi::trace_complete(
-            ctx, hytrace::Phase::Robust, "detect", t0)) {
-        s->peer = owner;
-    }
-    throw minimpi::ProcessFailedError(owner, death);
-}
-
-}  // namespace
 
 std::shared_ptr<NodeFailWord> boot_fail_word(const HierComm& hc) {
     const Comm& shm = hc.shm();
@@ -82,53 +56,51 @@ void NodeSync::signal(Cell& c, minimpi::RankCtx& ctx) {
     shared_->cv.notify_all();
 }
 
-void NodeSync::wait_for(const Cell& c, std::uint64_t target,
-                        minimpi::RankCtx& ctx, bool count_trips,
-                        int owner_world) {
+template <typename Stamp>
+void NodeSync::wait_flag(const std::uint64_t& seq, std::uint64_t target,
+                         int owner_world, bool count_trips, Stamp&& stamp) {
+    minimpi::RankCtx& ctx = hc_->shm().ctx();
     minimpi::detail::check_alive(ctx);
     const VTime wait_begin = ctx.clock.now();
-    std::unique_lock<std::mutex> lock(shared_->mu);
-    // Poison-aware wait: a peer that threw (e.g. an exhausted robust retry
-    // budget on a path with no degradation rung) poisons the transport but
-    // has no way to signal this condition variable — poll so an aborted job
-    // unblocks flag waiters instead of hanging them. The timeout is wall
-    // clock only; virtual time is untouched by spurious wakeups. The same
-    // poll notices a dead flag owner (the flag will never be published) and
-    // a revoked world comm (some survivor started recovery) — completion
-    // wins: the predicate is re-checked before every interrupt check, so a
-    // flag published before the failure is always consumed normally.
     minimpi::Transport& tp = ctx.runtime->transport();
-    while (!shared_->cv.wait_for(lock, std::chrono::milliseconds(2),
-                                 [&] { return c.seq >= target; })) {
-        if (tp.poisoned()) {
-            lock.unlock();
-            tp.check_poison();
-        }
-        if (owner_world >= 0 && tp.any_dead() && tp.is_dead(owner_world)) {
-            lock.unlock();
-            throw_flag_owner_dead(ctx, tp, owner_world);
-        }
-        if (hc_->world().state().revoked.load(std::memory_order_acquire)) {
-            lock.unlock();
-            throw minimpi::CommRevokedError();
-        }
-    }
-    const VTime signal_time = c.vtime;
-    // Progress watchdog: a flag that was published later than the virtual-
-    // time deadline counts as a divergence trip (a straggling rank whose
-    // flag rounds lag the node). Trips feed the Flags -> Barrier ladder.
-    // Only waits whose recording provably happens-before the primary
-    // leader's next downgrade decision may count (count_trips), keeping the
-    // trip total it reads deterministic.
-    // watchdog_us = 0 is the strictest setting — ANY flag published after
-    // the wait began counts as late (immediate trip) — not a disable knob.
+    const minimpi::CommState& world = hc_->world().state();
     const hympi::RobustConfig* cfg = ctx.robust_cfg;
-    if (count_trips && cfg != nullptr && cfg->enabled &&
-        signal_time > wait_begin + cfg->watchdog_us) {
-        shared_->trips += 1;
-        ctx.robust_stats.sync_trips += 1;
-    }
-    lock.unlock();
+    VTime signal_time = 0.0;
+    using minimpi::detail::WaitInterrupt;
+    // Completion wins: a flag published before a failure is consumed
+    // normally. Poison, a dead owner (the flag will never be published) and
+    // a revoked world comm (some survivor started recovery) wake the wait
+    // through the park record.
+    minimpi::detail::block_until(
+        minimpi::detail::waiter_of(ctx), shared_->mu, shared_->cv,
+        [&] {
+            if (seq < target) return false;
+            signal_time = stamp();
+            // Progress watchdog: a flag that was published later than the
+            // virtual-time deadline counts as a divergence trip (a
+            // straggling rank whose flag rounds lag the node). Trips feed
+            // the Flags -> Barrier ladder. Only waits whose recording
+            // provably happens-before the primary leader's next downgrade
+            // decision may count (count_trips), keeping the trip total it
+            // reads deterministic. watchdog_us = 0 is the strictest setting
+            // — ANY flag published after the wait began counts as late
+            // (immediate trip) — not a disable knob.
+            if (count_trips && cfg != nullptr && cfg->enabled &&
+                signal_time > wait_begin + cfg->watchdog_us) {
+                shared_->trips += 1;
+                ctx.robust_stats.sync_trips += 1;
+            }
+            return true;
+        },
+        [&] {
+            if (owner_world >= 0 && tp.any_dead() && tp.is_dead(owner_world)) {
+                return WaitInterrupt{WaitInterrupt::Dead, owner_world};
+            }
+            if (world.revoked.load(std::memory_order_acquire)) {
+                return WaitInterrupt{WaitInterrupt::Revoked};
+            }
+            return WaitInterrupt{};
+        });
     ctx.clock.sync_to(signal_time);
     ctx.clock.advance(ctx.model->flag_poll_us);
     if (xsocket_flags_) ctx.clock.advance(ctx.model->xsocket_flag_penalty_us);
@@ -166,44 +138,12 @@ void NodeSync::chunk_signal(int slot) {
 }
 
 void NodeSync::chunk_wait(int slot, std::uint64_t target) {
-    minimpi::RankCtx& ctx = hc_->shm().ctx();
-    minimpi::detail::check_alive(ctx);
-    const VTime wait_begin = ctx.clock.now();
     const ChunkSlot& c = shared_->chunk[static_cast<std::size_t>(slot)];
-    std::unique_lock<std::mutex> lock(shared_->mu);
-    // Same poison-aware poll as wait_for, plus the failure checks: the
-    // slot's publisher is derivable from the slot index, so a dead
-    // publisher (or a revoked world comm) interrupts the wait instead of
-    // hanging the pipeline.
-    minimpi::Transport& tp = ctx.runtime->transport();
-    while (!shared_->cv.wait_for(lock, std::chrono::milliseconds(2),
-                                 [&] { return c.seq >= target; })) {
-        if (tp.poisoned()) {
-            lock.unlock();
-            tp.check_poison();
-        }
-        if (tp.any_dead()) {
-            const int owner = chunk_slot_owner(slot);
-            if (owner >= 0 && tp.is_dead(owner)) {
-                lock.unlock();
-                throw_flag_owner_dead(ctx, tp, owner);
-            }
-        }
-        if (hc_->world().state().revoked.load(std::memory_order_acquire)) {
-            lock.unlock();
-            throw minimpi::CommRevokedError();
-        }
-    }
     // This chunk's OWN stamp, read by index from the append-only log — the
     // publisher may already be several chunks ahead in wall-clock time.
-    const VTime signal_time = c.stamps[static_cast<std::size_t>(target - 1)];
-    lock.unlock();
-    ctx.clock.sync_to(signal_time);
-    ctx.clock.advance(ctx.model->flag_poll_us);
-    if (xsocket_flags_) ctx.clock.advance(ctx.model->xsocket_flag_penalty_us);
-    if (signal_time > wait_begin) {
-        HYTRACE_COUNTER(ctx, sync_wait_us, signal_time - wait_begin);
-    }
+    wait_flag(c.seq, target, chunk_slot_owner(slot), false, [&c, target] {
+        return c.stamps[static_cast<std::size_t>(target - 1)];
+    });
 }
 
 void NodeSync::ready_phase(SyncPolicy p, bool collector) {
@@ -220,9 +160,9 @@ void NodeSync::ready_phase(SyncPolicy p, bool collector) {
     signal(shared_->ready[static_cast<std::size_t>(shm.rank())], ctx);
     if (hc_->is_leader() || collector) {
         for (int r = 0; r < shm.size(); ++r) {
-            wait_for(shared_->ready[static_cast<std::size_t>(r)],
-                     my_ready_epoch_, ctx, hc_->is_primary_leader(),
-                     shm.to_world(r));
+            const Cell& c = shared_->ready[static_cast<std::size_t>(r)];
+            wait_flag(c.seq, my_ready_epoch_, shm.to_world(r),
+                      hc_->is_primary_leader(), [&c] { return c.vtime; });
         }
     }
 }
@@ -261,8 +201,9 @@ void NodeSync::release_phase(SyncPolicy p) {
     // published its slice of the exchange.
     // Leader l is shm rank l (the node's lowest L ranks lead).
     for (int l = 0; l < nleaders; ++l) {
-        wait_for(shared_->release[static_cast<std::size_t>(l)], release_epoch_,
-                 ctx, true, shm.to_world(l));
+        const Cell& c = shared_->release[static_cast<std::size_t>(l)];
+        wait_flag(c.seq, release_epoch_, shm.to_world(l), true,
+                  [&c] { return c.vtime; });
     }
     if (robust && !degraded_) {
         std::lock_guard<std::mutex> lock(shared_->mu);

@@ -156,14 +156,18 @@ private:
     };
 
     void signal(Cell& c, minimpi::RankCtx& ctx);
-    /// @p owner_world is the world rank that publishes this cell (-1 = not
-    /// tracked): a flag owned by a dead rank can never be published, so the
-    /// waiter raises ProcessFailedError (charging the deterministic
-    /// detection latency) instead of spinning forever; a revoked world comm
-    /// raises CommRevokedError so survivors blocked on live-but-erroring
-    /// peers reach the recovery path too.
-    void wait_for(const Cell& c, std::uint64_t target, minimpi::RankCtx& ctx,
-                  bool count_trips, int owner_world = -1);
+    /// The one flag wait (detail::block_until): block until @p seq reaches
+    /// @p target, then synchronize this rank's clock to that signal's
+    /// stamp, read by @p stamp under the lock. @p owner_world publishes the
+    /// flag (-1 = not tracked): a flag owned by a dead rank can never be
+    /// published, so the waiter raises ProcessFailedError (charging the
+    /// deterministic detection latency) instead of waiting forever; a
+    /// revoked world comm raises CommRevokedError so survivors blocked on
+    /// live-but-erroring peers reach the recovery path too. @p count_trips
+    /// lets a late signal count as a watchdog trip.
+    template <typename Stamp>
+    void wait_flag(const std::uint64_t& seq, std::uint64_t target,
+                   int owner_world, bool count_trips, Stamp&& stamp);
     /// World rank that publishes chunk flag @p slot (per-rank, node-release
     /// or socket-release slot).
     int chunk_slot_owner(int slot) const;

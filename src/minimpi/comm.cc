@@ -6,52 +6,26 @@
 #include "minimpi/error.h"
 #include "minimpi/icoll.h"
 #include "minimpi/runtime.h"
-#include "minimpi/trace_span.h"
 
 namespace minimpi {
 
 namespace detail {
 
-bool job_poisoned(const CommState& st) {
-    return st.runtime->transport().poisoned();
-}
-
-void throw_if_poisoned(const CommState& st) {
-    st.runtime->transport().check_poison();
-}
-
-bool comm_interrupted(const CommState& st) {
-    if (st.revoked.load(std::memory_order_acquire)) return true;
+WaitInterrupt comm_interrupt(const CommState& st) {
     Transport& tp = st.runtime->transport();
     if (tp.any_dead()) {
         for (int w : st.members) {
-            if (tp.is_dead(w)) return true;
+            if (tp.is_dead(w)) return {WaitInterrupt::Dead, w};
         }
     }
-    return false;
+    if (st.revoked.load(std::memory_order_acquire)) {
+        return {WaitInterrupt::Revoked};
+    }
+    return {};
 }
 
 void throw_comm_interrupt(const CommState& st, RankCtx& ctx) {
-    Transport& tp = st.runtime->transport();
-    if (tp.any_dead()) {
-        for (int w : st.members) {
-            if (!tp.is_dead(w)) continue;
-            // Deterministic detection latency: the dead member fell silent
-            // at its (program-determined) death vtime; the watchdog that
-            // was due watchdog_us later is what notices.
-            const VTime death = tp.death_vtime(w);
-            const VTime t0 = ctx.vck().now();
-            ctx.vck().sync_to(death + ctx.robust_cfg->watchdog_us);
-            ctx.robust_stats.failures_detected += 1;
-            HYTRACE_COUNTER(ctx, failures_detected, 1);
-            if (hytrace::Span* s = trace_complete(
-                    ctx, hytrace::Phase::Robust, "detect", t0)) {
-                s->peer = w;
-            }
-            throw ProcessFailedError(w, death);
-        }
-    }
-    throw CommRevokedError();
+    raise_interrupt(waiter_of(ctx), comm_interrupt(st));
 }
 
 }  // namespace detail
@@ -195,49 +169,43 @@ Comm Comm::agree_shrink(std::vector<int>* failed_world) const {
     auto data = std::static_pointer_cast<ShrinkData>(slot->data);
     slot->max_clock = std::max(slot->max_clock, ctx.vck().now());
     ++slot->arrived;
+    lock.unlock();
 
     // Completion rule of the fault-tolerant rendezvous: every member is
     // either here or dead. Which killed members count as dead is program
     // order, hence deterministic: a killed rank either reaches this call
     // before crossing its kill time (arrives, survives this round) or dies
-    // at an earlier checkpoint (never arrives). Re-evaluated on every death
-    // notification (Runtime::on_rank_death wakes all op slots).
-    auto complete = [&] {
+    // at an earlier checkpoint (never arrives). Re-evaluated on every wake
+    // (a death wakes every parked rank). The first member to observe
+    // completion finalizes (under op_mu): survivors keep their old
+    // comm-rank order, so the shrunken comm is identical on every survivor
+    // with no extra exchange. Dead members and revocation are the point of
+    // this call, so only poison interrupts it.
+    detail::block_until(detail::waiter_of(ctx), st.op_mu, slot->cv, [&] {
+        if (slot->done) return true;
         int ndead = 0;
         for (int w : st.members) {
             if (tp.is_dead(w)) ++ndead;
         }
-        return slot->arrived + ndead >= st.size();
-    };
-
-    while (!slot->done) {
-        if (detail::job_poisoned(st)) {
-            lock.unlock();
-            detail::throw_if_poisoned(st);
-        }
-        if (complete()) {
-            // First member to observe completion finalizes (under op_mu):
-            // survivors keep their old comm-rank order, so the shrunken
-            // comm is identical on every survivor with no extra exchange.
-            ShrinkData& d = *data;
-            std::vector<int> survivors;
-            for (int w : st.members) {
-                if (tp.is_dead(w)) {
-                    d.failed.push_back(w);
-                } else {
-                    survivors.push_back(w);
-                }
+        if (slot->arrived + ndead < st.size()) return false;
+        ShrinkData& d = *data;
+        std::vector<int> survivors;
+        for (int w : st.members) {
+            if (tp.is_dead(w)) {
+                d.failed.push_back(w);
+            } else {
+                survivors.push_back(w);
             }
-            // Deliberately parentless: the recovery comm must survive
-            // (re-)revocation of the broken comm it descends from.
-            d.child = rt->create_comm(std::move(survivors));
-            slot->done = true;
-            slot->cv.notify_all();
-            break;
         }
-        slot->cv.wait(lock);
-    }
+        // Deliberately parentless: the recovery comm must survive
+        // (re-)revocation of the broken comm it descends from.
+        d.child = rt->create_comm(std::move(survivors));
+        slot->done = true;
+        slot->cv.notify_all();
+        return true;
+    });
 
+    lock.lock();
     CommState* child = data->child;
     const std::vector<int> failed = data->failed;
     const VTime max_clock = slot->max_clock;

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "minimpi/block.h"
 #include "minimpi/context.h"
 #include "minimpi/icoll_gate.h"
 #include "minimpi/types.h"
@@ -70,6 +71,11 @@ struct CommState {
     /// rendezvous in the kShrinkKeyBase namespace (disjoint from member
     /// epochs and gate keys).
     std::vector<std::uint64_t> member_shrink_epoch;
+
+    /// Per-member robust channel uid counters (robust::alloc_channel_uid),
+    /// owner-written. Keyed by comm, not by rank: members that reach this
+    /// comm with different channel histories elsewhere still agree.
+    std::vector<std::uint64_t> member_chan_seq;
 
     /// Set (once, by Comm::free's finalizer) when the members collectively
     /// released the communicator. The registry slot itself lives until the
@@ -179,21 +185,15 @@ private:
 
 namespace detail {
 
-/// True when some rank has aborted the job (defined in comm.cc to avoid a
-/// header cycle with Runtime).
-bool job_poisoned(const CommState& st);
-/// Throws JobAborted when the job is poisoned.
-void throw_if_poisoned(const CommState& st);
-
-/// True when a pending operation on @p st can never complete normally: the
-/// comm was revoked or a member process died. One relaxed atomic load on
-/// fault-free runs (defined in comm.cc to reach the transport).
-bool comm_interrupted(const CommState& st);
-/// Raise the typed error for an interrupted comm: ProcessFailedError for a
-/// dead member (charging the observer death_vtime + watchdog_us — the
-/// deterministic detection latency — and counting failures_detected),
-/// CommRevokedError otherwise (no charge). Death wins over revocation so
-/// the error a direct observer sees is a pure function of the program.
+/// Why a pending operation on @p st can never complete normally: a member
+/// process died (the first in member order), or the comm was revoked.
+/// Death wins over revocation so the error a direct observer sees is a pure
+/// function of the program. Two atomic loads on fault-free runs (defined in
+/// comm.cc to reach the transport).
+WaitInterrupt comm_interrupt(const CommState& st);
+/// Raise the typed error for an interrupted comm (see raise_interrupt):
+/// ProcessFailedError for a dead member, charging the detection latency,
+/// CommRevokedError otherwise.
 [[noreturn]] void throw_comm_interrupt(const CommState& st, RankCtx& ctx);
 
 /// Generic collective rendezvous on a communicator: every member contributes
@@ -211,7 +211,7 @@ std::shared_ptr<Data> rendezvous(CommState& st, RankCtx& ctx, int my_rank,
                                  VTime sync_cost, Contribute&& contribute,
                                  Finalize&& finalize) {
     check_alive(ctx);
-    if (comm_interrupted(st)) throw_comm_interrupt(st, ctx);
+    if (comm_interrupt(st)) throw_comm_interrupt(st, ctx);
     if (st.freed.load(std::memory_order_acquire)) {
         throw CommError("collective on a freed communicator");
     }
@@ -240,29 +240,12 @@ std::shared_ptr<Data> rendezvous(CommState& st, RankCtx& ctx, int my_rank,
         finalize(*data);
         slot->done = true;
         slot->cv.notify_all();
-    } else if (ctx.gate != nullptr) {
-        // Task context: poll-and-yield instead of blocking the OS thread,
-        // so the owner's Test() returns and its Wait() can drive the other
-        // outstanding requests meanwhile.
-        while (!slot->done && !job_poisoned(st) && !comm_interrupted(st)) {
-            lock.unlock();
-            ctx.gate->yield();
-            lock.lock();
-        }
-        if (!slot->done) {
-            lock.unlock();
-            throw_if_poisoned(st);
-            throw_comm_interrupt(st, ctx);
-        }
     } else {
-        slot->cv.wait(lock, [&] {
-            return slot->done || job_poisoned(st) || comm_interrupted(st);
-        });
-        if (!slot->done) {
-            lock.unlock();
-            throw_if_poisoned(st);
-            throw_comm_interrupt(st, ctx);
-        }
+        lock.unlock();  // block_until takes op_mu itself
+        block_until(
+            waiter_of(ctx), st.op_mu, slot->cv, [&] { return slot->done; },
+            [&] { return comm_interrupt(st); });
+        lock.lock();
     }
 
     ctx.vck().sync_to(slot->max_clock);

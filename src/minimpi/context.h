@@ -201,11 +201,6 @@ struct RankCtx {
     /// collected by Runtime::run into last_robust_stats().
     hympi::RobustStats robust_stats;
 
-    /// Program-order uid source for robust channels (hympi collectives).
-    /// Collective channel construction assigns matching uids on every
-    /// member rank, making generation stamps run-to-run deterministic.
-    std::uint64_t robust_chan_seq = 0;
-
     // ---- nonblocking-collective progress engine (icoll.h) --------------
 
     /// The clock cost-model code charges against. Normally the rank's own
@@ -234,9 +229,9 @@ struct RankCtx {
     std::uint64_t coll_ctx_override = 0;
 
     /// Cooperative-scheduling gate of the engine task currently holding
-    /// this rank's turn; null while the rank's own program runs. Blocking
-    /// points (transport waits, collective rendezvous) yield through it
-    /// instead of blocking the OS thread.
+    /// this rank's turn; null while the rank's own program runs. Every
+    /// wait on another rank (detail::block_until) yields through it instead
+    /// of blocking the OS thread.
     detail::IcollGate* gate = nullptr;
 
     /// Outstanding engine-backed requests of this rank, in posting order.
@@ -289,17 +284,12 @@ inline void check_alive(RankCtx& ctx) {
 VTime tenant_bridge_start(TenantState& ts, VTime now, std::size_t bytes);
 
 /// Drive every outstanding nonblocking collective of @p ctx once, without
-/// blocking (defined in icoll.cc). Blocking waits in owner context call
-/// this in their poll loop — the MPI progress rule: a rank blocked in any
+/// blocking (defined in icoll.cc). detail::block_until calls this between
+/// checks in owner context — the MPI progress rule: a rank blocked in any
 /// MPI call must keep its outstanding nonblocking operations advancing, or
 /// two ranks blocking on operations the other's engine still has in flight
 /// would deadlock. No-op when nothing is outstanding or inside the engine.
 void icoll_progress(RankCtx& ctx);
-
-/// Real-time backoff between progress sweeps: cheap CPU yields first, then
-/// short sleeps, so a genuinely stalled peer does not burn a core. Never
-/// touches virtual time.
-void icoll_backoff(int spins);
 
 }  // namespace detail
 

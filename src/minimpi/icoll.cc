@@ -1,7 +1,6 @@
 #include "minimpi/icoll.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -65,16 +64,6 @@ IcollState::~IcollState() {
     deregister(*this);
 }
 
-void icoll_backoff(int spins) {
-    if (spins < 256) {
-        std::this_thread::yield();
-    } else if (spins < 4096) {
-        std::this_thread::sleep_for(std::chrono::microseconds(2));
-    } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-}
-
 void icoll_progress(RankCtx& ctx) {
     if (ctx.gate != nullptr) return;  // task context: the engine is us
     // Snapshot: drive_icoll never mutates the list (only post/merge on this
@@ -136,17 +125,13 @@ void merge_icoll(IcollState& st) {
 }
 
 void wait_icoll_done(IcollState& target) {
-    RankCtx& ctx = *target.ctx;
-    int spins = 0;
-    while (!drive_icoll(target)) {
-        // The MPI progress rule: while blocked here, every other
-        // outstanding request keeps advancing — two ranks waiting on
-        // different operations in opposite orders must not deadlock.
-        for (IcollState* other : ctx.active_icolls) {
-            if (other != &target) drive_icoll(*other);
-        }
-        icoll_backoff(spins++);
-    }
+    // The target is registered, so this is an owner-context wait with a
+    // request outstanding: every pause drives all of them (the MPI progress
+    // rule — two ranks waiting on different operations in opposite orders
+    // must not deadlock) and backs off.
+    IcollGate& g = target.gate;
+    block_until(waiter_of(*target.ctx), g.mu, g.cv,
+                [&] { return g.done || g.err != nullptr; });
 }
 
 void arm_icoll(IcollState& st) {

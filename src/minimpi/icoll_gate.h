@@ -19,11 +19,14 @@ struct IcollCancelled {};
 /// in yield() (or in its idle loop) otherwise — so RankCtx never sees
 /// concurrent access even though two OS threads share it, and TSan agrees.
 ///
-/// Tasks never block the OS thread inside the transport or a collective
-/// rendezvous: every would-block point checks `ctx.gate` and yields the
-/// turn instead, which is what lets Test() poll without spinning virtual
-/// time and lets a Wait() on one request keep every other outstanding
-/// request progressing (the MPI progress rule).
+/// Tasks never block the OS thread: every wait on another rank goes through
+/// detail::block_until, which under an active `ctx.gate` yields the turn
+/// instead of parking — transport receives and probes, collective
+/// rendezvous, node flag waits and the rest alike. That is what lets Test()
+/// poll without spinning virtual time and lets a Wait() on one request
+/// keep every other outstanding request progressing (the MPI progress
+/// rule). The three turn handoffs (yield() here, worker_main and
+/// drive_icoll) are the only condvar waits outside that helper.
 struct IcollGate {
     std::mutex mu;
     std::condition_variable cv;

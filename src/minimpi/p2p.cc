@@ -35,62 +35,11 @@ void validate_buffer(const Comm& comm, const void* buf, std::size_t bytes) {
     }
 }
 
-/// Transport wait that cooperates with the nonblocking-collective engine.
-/// Inside an engine task (gate active) it polls and yields the turn instead
-/// of blocking the OS thread — the owner's Wait() keeps driving every
-/// outstanding request meanwhile. In owner context with requests
-/// outstanding it polls and drives them (the MPI progress rule: a blocking
-/// call must keep nonblocking operations advancing, or two ranks blocked on
-/// traffic the other's engine still has in flight would deadlock). Only
-/// with nothing outstanding does it block in the transport.
-void wait_recv_yielding_inner(RankCtx& ctx, PostedRecv* pr) {
-    Transport& tp = ctx.runtime->transport();
-    if (ctx.gate != nullptr) {
-        while (!tp.test_recv(ctx.world_rank, pr)) {
-            tp.check_poison();
-            tp.check_recv_interrupt(ctx.world_rank, pr);
-            ctx.gate->yield();
-        }
-        return;
-    }
-    if (ctx.active_icolls.empty()) {
-        tp.wait_recv(ctx.world_rank, pr);
-        return;
-    }
-    int spins = 0;
-    while (!tp.test_recv(ctx.world_rank, pr)) {
-        tp.check_poison();
-        tp.check_recv_interrupt(ctx.world_rank, pr);
-        detail::icoll_progress(ctx);
-        detail::icoll_backoff(spins++);
-    }
-}
-
-/// The deterministic failure detector's accounting, applied where a blocked
-/// receive observed a peer death: the observer's clock advances to
-/// death_vtime + watchdog_us (the virtual-time watchdog that noticed the
-/// silence — a pure function of the killed rank's program, never of host
-/// scheduling), failures_detected counters bump, and a Robust "detect" span
-/// covers the wait. Revocation interrupts charge nothing, on purpose.
-void charge_failure_detection(RankCtx& ctx, const ProcessFailedError& e,
-                              VTime t0) {
-    ctx.vck().sync_to(e.death_vtime() + ctx.robust_cfg->watchdog_us);
-    ctx.robust_stats.failures_detected += 1;
-    HYTRACE_COUNTER(ctx, failures_detected, 1);
-    if (hytrace::Span* s =
-            trace_complete(ctx, hytrace::Phase::Robust, "detect", t0)) {
-        s->peer = e.world_rank();
-    }
-}
-
-void wait_recv_yielding(RankCtx& ctx, PostedRecv* pr) {
-    const VTime t0 = ctx.vck().now();
-    try {
-        wait_recv_yielding_inner(ctx, pr);
-    } catch (const ProcessFailedError& e) {
-        charge_failure_detection(ctx, e, t0);
-        throw;
-    }
+/// Block until @p pr completes (detail::block_until: yields under an engine
+/// task, drives outstanding requests in owner context, parks otherwise).
+void wait_recv(RankCtx& ctx, PostedRecv* pr) {
+    PostedRecv* const one[] = {pr};
+    ctx.runtime->transport().wait(ctx.world_rank, one, &ctx);
 }
 
 }  // namespace
@@ -407,7 +356,7 @@ void ssend(const Comm& comm, const void* buf, std::size_t count, Datatype dt,
     ack.tag = ack_tag;
     ack.post_vtime = ctx.vck().now();
     ctx.runtime->transport().post_recv(ctx.world_rank, &ack);
-    wait_recv_yielding(ctx, &ack);
+    wait_recv(ctx, &ack);
     ctx.vck().sync_to(ack.arrival);
     if (trace_p2p(ctx)) {
         hytrace::Span* s =
@@ -477,14 +426,8 @@ void probe(const Comm& comm, int source, int tag, Status* out) {
     const int src_world =
         (source == kAnySource) ? kAnySource : comm.to_world(source);
     Status st;
-    const VTime t0 = ctx.vck().now();
-    try {
-        ctx.runtime->transport().probe(ctx.world_rank, comm.state().ctx_p2p,
-                                       src_world, tag, &st);
-    } catch (const ProcessFailedError& e) {
-        charge_failure_detection(ctx, e, t0);
-        throw;
-    }
+    ctx.runtime->transport().probe(ctx.world_rank, comm.state().ctx_p2p,
+                                   src_world, tag, &st, &ctx);
     st.source = comm.from_world(st.source);
     if (out) *out = st;
 }
@@ -583,7 +526,7 @@ Status Request::wait() {
         release();
         return st;
     }
-    wait_recv_yielding(*ctx_, recv_.get());
+    wait_recv(*ctx_, recv_.get());
     return finish_recv();
 }
 
@@ -635,65 +578,12 @@ int wait_any(std::span<Request> reqs, Status* out) {
         }
     }
     if (pending.empty()) return -1;
-    const VTime t0 = ctx->vck().now();
-    try {
-        if (ctx->gate == nullptr && !ctx->active_icolls.empty()) {
-            // Owner context with nonblocking collectives outstanding: poll
-            // and keep them progressing instead of blocking in the
-            // transport.
-            int spins = 0;
-            for (;;) {
-                for (std::size_t i = 0; i < pending.size(); ++i) {
-                    if (ctx->runtime->transport().test_recv(ctx->world_rank,
-                                                            pending[i])) {
-                        const std::size_t idx2 = index_of[i];
-                        Status st2;
-                        reqs[idx2].test(&st2);
-                        if (out) *out = st2;
-                        return static_cast<int>(idx2);
-                    }
-                }
-                ctx->runtime->transport().check_poison();
-                for (PostedRecv* pr : pending) {
-                    ctx->runtime->transport().check_recv_interrupt(
-                        ctx->world_rank, pr);
-                }
-                detail::icoll_progress(*ctx);
-                detail::icoll_backoff(spins++);
-            }
-        }
-        if (ctx->gate != nullptr) {
-            // Task context: poll in index order and yield between sweeps.
-            for (;;) {
-                for (std::size_t i = 0; i < pending.size(); ++i) {
-                    if (ctx->runtime->transport().test_recv(ctx->world_rank,
-                                                            pending[i])) {
-                        const std::size_t idx2 = index_of[i];
-                        Status st2;
-                        reqs[idx2].test(&st2);
-                        if (out) *out = st2;
-                        return static_cast<int>(idx2);
-                    }
-                }
-                ctx->runtime->transport().check_poison();
-                for (PostedRecv* pr : pending) {
-                    ctx->runtime->transport().check_recv_interrupt(
-                        ctx->world_rank, pr);
-                }
-                ctx->gate->yield();
-            }
-        }
-        const std::size_t hit =
-            ctx->runtime->transport().wait_any_recv(ctx->world_rank, pending);
-        const std::size_t idx = index_of[hit];
-        Status st;
-        reqs[idx].test(&st);  // completed: consumes and charges the clock
-        if (out) *out = st;
-        return static_cast<int>(idx);
-    } catch (const ProcessFailedError& e) {
-        charge_failure_detection(*ctx, e, t0);
-        throw;
-    }
+    const std::size_t idx =
+        index_of[ctx->runtime->transport().wait(ctx->world_rank, pending, ctx)];
+    Status st;
+    reqs[idx].test(&st);  // completed: consumes and charges the clock
+    if (out) *out = st;
+    return static_cast<int>(idx);
 }
 
 PersistentRequest PersistentRequest::send_init(const Comm& comm,

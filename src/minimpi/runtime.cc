@@ -36,6 +36,7 @@ CommState* Runtime::create_comm(std::vector<int> members_world,
     }
     st->member_epoch.assign(st->members.size(), 0);
     st->member_shrink_epoch.assign(st->members.size(), 0);
+    st->member_chan_seq.assign(st->members.size(), 0);
     CommState* raw = st.get();
     bool born_revoked = false;
     {
@@ -53,9 +54,9 @@ CommState* Runtime::create_comm(std::vector<int> members_world,
         }
     }
     if (born_revoked) {
-        // Fresh contexts — no waiter can exist yet, so no notify needed.
-        transport_->revoke_ctx(raw->ctx_p2p);
-        transport_->revoke_ctx(raw->ctx_coll);
+        // Fresh contexts — no waiter can exist yet, so no wake needed.
+        transport_->revoke_ctx(raw->ctx_p2p, false);
+        transport_->revoke_ctx(raw->ctx_coll, false);
     }
     return raw;
 }
@@ -65,60 +66,17 @@ void Runtime::keep_alive(std::shared_ptr<void> resource) {
     resources_.push_back(std::move(resource));
 }
 
-void Runtime::poison_from(int world_rank) {
-    transport_->poison(world_rank);
-    // Snapshot the registry first: rendezvous callbacks take a comm's op_mu
-    // and then registry_mu_ (create_comm, keep_alive), so notifying under
-    // registry_mu_ would invert that order. The raw pointers stay valid —
-    // comms_ is only cleared between runs, after every rank thread joined.
-    std::vector<CommState*> comms;
-    {
-        std::lock_guard<std::mutex> lock(registry_mu_);
-        comms.reserve(comms_.size());
-        for (auto& comm : comms_) comms.push_back(comm.get());
-    }
-    for (CommState* comm : comms) {
-        std::lock_guard<std::mutex> op_lock(comm->op_mu);
-        for (auto& [epoch, slot] : comm->ops) {
-            slot->cv.notify_all();
-        }
-    }
-}
-
-void Runtime::on_rank_death(int world_rank, VTime at) {
-    transport_->mark_dead(world_rank, at);
-    // Wake rendezvous waiters the same way poison_from does: collectives on
-    // a communicator containing the dead rank must observe the death and
-    // raise ProcessFailedError rather than wait forever for its arrival.
-    std::vector<CommState*> comms;
-    {
-        std::lock_guard<std::mutex> lock(registry_mu_);
-        comms.reserve(comms_.size());
-        for (auto& comm : comms_) comms.push_back(comm.get());
-    }
-    for (CommState* comm : comms) {
-        std::lock_guard<std::mutex> op_lock(comm->op_mu);
-        for (auto& [epoch, slot] : comm->ops) {
-            slot->cv.notify_all();
-        }
-    }
-}
-
 void Runtime::revoke_comm(CommState& st) {
     if (st.revoked.exchange(true, std::memory_order_acq_rel)) return;
+    // Revoking the contexts wakes every parked rank, rendezvous waiters on
+    // this comm included (they re-check st.revoked).
     transport_->revoke_ctx(st.ctx_p2p);
     transport_->revoke_ctx(st.ctx_coll);
-    {
-        std::lock_guard<std::mutex> op_lock(st.op_mu);
-        for (auto& [epoch, slot] : st.ops) {
-            slot->cv.notify_all();
-        }
-    }
     // Cascade to derived comms (see CommState::parent): a survivor blocked
     // in an internal hierarchy leg whose direct peers are all alive can only
-    // be interrupted through its sub-communicator. Snapshot outside op
-    // locks — same ordering discipline as poison_from — then recurse; the
-    // exchange above makes re-entry through overlapping subtrees a no-op.
+    // be interrupted through its sub-communicator. Snapshot under the
+    // registry lock, then recurse outside it; the exchange above makes
+    // re-entry through overlapping subtrees a no-op.
     std::vector<CommState*> derived;
     {
         std::lock_guard<std::mutex> lock(registry_mu_);
@@ -160,10 +118,10 @@ void* rank_thread_entry(void* raw) {
         // Scheduled process failure (FaultPlan kill), not an error: the
         // thread exits silently and the job keeps running. Survivors observe
         // the death as ProcessFailedError and run detect–agree–shrink.
-        args->runtime->on_rank_death(k.world_rank, k.at);
+        args->runtime->transport().mark_dead(k.world_rank, k.at);
     } catch (...) {
         *args->error_out = std::current_exception();
-        args->runtime->poison_from(args->ctx->world_rank);
+        args->runtime->transport().poison(args->ctx->world_rank);
     }
     return nullptr;
 }

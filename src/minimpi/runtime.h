@@ -117,20 +117,9 @@ public:
     /// window-allocation rendezvous finalizer.
     std::uint64_t next_shm_alloc_idx(int node);
 
-    /// Abort the job on behalf of @p world_rank: poisons the transport and
-    /// wakes every rank blocked in a collective rendezvous.
-    void poison_from(int world_rank);
-
-    /// Record the death of @p world_rank (FaultPlan kill) at virtual time
-    /// @p at: marks it dead in the transport and wakes every rank blocked in
-    /// a collective rendezvous so waits that depend on the dead rank raise
-    /// ProcessFailedError. Unlike poison_from, the job keeps running — the
-    /// survivors are expected to revoke + agree_shrink and continue.
-    void on_rank_death(int world_rank, VTime at);
-
-    /// Revoke both matching contexts of @p st in the transport, wake the
-    /// comm's rendezvous waiters, and cascade to every registered comm
-    /// derived from @p st (backs Comm::revoke).
+    /// Revoke both matching contexts of @p st in the transport (waking
+    /// every parked rank) and cascade to every registered comm derived from
+    /// @p st (backs Comm::revoke).
     void revoke_comm(CommState& st);
 
     /// Modelled cost of a one-off collective coordination over @p nranks

@@ -165,105 +165,44 @@ void Transport::post_recv(int me, PostedRecv* r) {
     send_ack(ack);
 }
 
-void Transport::wait_recv(int me, PostedRecv* r) {
+std::size_t Transport::wait(int me, std::span<PostedRecv* const> rs,
+                            RankCtx* ctx,
+                            const std::function<bool()>& interrupt) {
     Mailbox& mb = box(me);
-    std::unique_lock<std::mutex> lock(mb.mu);
-    // Completion always wins: a message delivered before a poison/death/
-    // revoke notification is consumed normally (the predicate checks
-    // `completed` first), so interrupts can never lose data already sent.
-    mb.cv.wait(lock, [r, this] {
-        return r->completed || poisoned() || interrupted(*r);
-    });
-    if (!r->completed) {
-        mb.posted.remove(r);
-        lock.unlock();
-        check_poison();
-        throw_interrupt(*r);
-    }
-}
-
-bool Transport::wait_recv_intr(int me, PostedRecv* r,
-                               const std::function<bool()>& interrupt) {
-    Mailbox& mb = box(me);
-    std::unique_lock<std::mutex> lock(mb.mu);
-    bool external = false;
-    mb.cv.wait(lock, [&] {
-        if (r->completed || poisoned() || interrupted(*r)) return true;
-        external = interrupt();
-        return external;
-    });
-    if (r->completed) return true;
-    mb.posted.remove(r);
-    lock.unlock();
-    check_poison();
-    if (!external) throw_interrupt(*r);
-    return false;
-}
-
-std::size_t Transport::wait_any_recv(int me,
-                                     std::span<PostedRecv* const> rs) {
-    Mailbox& mb = box(me);
-    std::unique_lock<std::mutex> lock(mb.mu);
-    for (;;) {
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-            if (rs[i]->completed) return i;
-        }
-        if (poisoned()) {
-            for (PostedRecv* r : rs) mb.posted.remove(r);
-            lock.unlock();
-            check_poison();
-        }
-        if (dead_count_.load(std::memory_order_acquire) > 0 ||
-            revoke_count_.load(std::memory_order_acquire) > 0) {
-            for (PostedRecv* r : rs) {
-                if (!interrupted(*r)) continue;
-                for (PostedRecv* q : rs) mb.posted.remove(q);
-                lock.unlock();
-                throw_interrupt(*r);
+    std::size_t hit = SIZE_MAX;
+    detail::block_until(
+        detail::Waiter{*this, ctx, me}, mb.mu, mb.cv,
+        [&] {
+            for (std::size_t i = 0; i < rs.size(); ++i) {
+                if (rs[i]->completed) {
+                    hit = i;
+                    return true;
+                }
             }
-        }
-        mb.cv.wait(lock);
-    }
+            return false;
+        },
+        [&] {
+            for (const PostedRecv* r : rs) {
+                if (const detail::WaitInterrupt wi = interrupt_of(*r)) return wi;
+            }
+            return detail::WaitInterrupt{interrupt && interrupt()
+                                             ? detail::WaitInterrupt::External
+                                             : detail::WaitInterrupt::None};
+        },
+        [&] {
+            for (PostedRecv* r : rs) mb.posted.remove(r);
+        });
+    return hit;
 }
 
-std::size_t Transport::wait_any_recv_intr(
-    int me, std::span<PostedRecv* const> rs,
-    const std::function<bool()>& interrupt) {
-    Mailbox& mb = box(me);
-    std::unique_lock<std::mutex> lock(mb.mu);
-    for (;;) {
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-            if (rs[i]->completed) return i;
-        }
-        if (poisoned()) {
-            for (PostedRecv* r : rs) mb.posted.remove(r);
-            lock.unlock();
-            check_poison();
-        }
-        if (dead_count_.load(std::memory_order_acquire) > 0 ||
-            revoke_count_.load(std::memory_order_acquire) > 0) {
-            for (PostedRecv* r : rs) {
-                if (!interrupted(*r)) continue;
-                for (PostedRecv* q : rs) mb.posted.remove(q);
-                lock.unlock();
-                throw_interrupt(*r);
-            }
-        }
-        if (interrupt()) {
-            for (PostedRecv* r : rs) mb.posted.remove(r);
-            return SIZE_MAX;
-        }
-        mb.cv.wait(lock);
-    }
+void Transport::wake_parked() {
+    for (auto& b : boxes_) b->park.wake();
 }
 
 void Transport::poison(int by_rank) {
     poison_rank_.store(by_rank, std::memory_order_relaxed);
     poisoned_.store(true, std::memory_order_release);
-    for (auto& mb : boxes_) {
-        std::lock_guard<std::mutex> lock(mb->mu);
-        mb->cv.notify_all();
-    }
+    wake_parked();
 }
 
 void Transport::check_poison() const {
@@ -286,13 +225,10 @@ void Transport::mark_dead(int world_rank, VTime at) {
         mb.unexpected.clear();
     }
     dead_count_.fetch_add(1, std::memory_order_release);
-    for (auto& b : boxes_) {
-        std::lock_guard<std::mutex> lock(b->mu);
-        b->cv.notify_all();
-    }
+    wake_parked();
 }
 
-void Transport::revoke_ctx(std::uint64_t ctx) {
+void Transport::revoke_ctx(std::uint64_t ctx, bool wake) {
     {
         std::lock_guard<std::mutex> lock(revoked_mu_);
         if (std::find(revoked_.begin(), revoked_.end(), ctx) !=
@@ -302,10 +238,7 @@ void Transport::revoke_ctx(std::uint64_t ctx) {
         revoked_.push_back(ctx);
     }
     revoke_count_.fetch_add(1, std::memory_order_release);
-    for (auto& b : boxes_) {
-        std::lock_guard<std::mutex> lock(b->mu);
-        b->cv.notify_all();
-    }
+    if (wake) wake_parked();
 }
 
 bool Transport::ctx_revoked(std::uint64_t ctx) const {
@@ -314,46 +247,23 @@ bool Transport::ctx_revoked(std::uint64_t ctx) const {
     return std::find(revoked_.begin(), revoked_.end(), ctx) != revoked_.end();
 }
 
-bool Transport::interrupted(const PostedRecv& r) const {
-    if (r.completed) return false;
-    if (dead_count_.load(std::memory_order_acquire) > 0) {
-        // ULFM semantics: a wildcard receive has a pending failure as soon
-        // as ANY process died (the dead one might have been the sender).
-        if (r.src_global == kAnySource) return true;
-        if (r.src_global >= 0 && is_dead(r.src_global)) return true;
-    }
-    return ctx_revoked(r.ctx);
-}
-
-void Transport::throw_interrupt(const PostedRecv& r) const {
+detail::WaitInterrupt Transport::interrupt_of(const PostedRecv& r) const {
     if (dead_count_.load(std::memory_order_acquire) > 0) {
         if (r.src_global >= 0 && is_dead(r.src_global)) {
-            throw ProcessFailedError(r.src_global, death_vtime(r.src_global));
+            return {detail::WaitInterrupt::Dead, r.src_global};
         }
+        // ULFM semantics: a wildcard receive has a pending failure as soon
+        // as ANY process died (the dead one might have been the sender).
         if (r.src_global == kAnySource) {
             for (std::size_t i = 0; i < boxes_.size(); ++i) {
                 if (boxes_[i]->dead.load(std::memory_order_acquire)) {
-                    throw ProcessFailedError(static_cast<int>(i),
-                                             boxes_[i]->death_vtime);
+                    return {detail::WaitInterrupt::Dead, static_cast<int>(i)};
                 }
             }
         }
     }
-    throw CommRevokedError();
-}
-
-void Transport::check_recv_interrupt(int me, PostedRecv* r) {
-    if (dead_count_.load(std::memory_order_acquire) == 0 &&
-        revoke_count_.load(std::memory_order_acquire) == 0) {
-        return;
-    }
-    Mailbox& mb = box(me);
-    {
-        std::lock_guard<std::mutex> lock(mb.mu);
-        if (!interrupted(*r)) return;
-        mb.posted.remove(r);
-    }
-    throw_interrupt(*r);
+    if (ctx_revoked(r.ctx)) return {detail::WaitInterrupt::Revoked};
+    return {};
 }
 
 bool Transport::test_recv(int me, PostedRecv* r) {
@@ -370,53 +280,42 @@ bool Transport::cancel_recv(int me, PostedRecv* r) {
     return true;
 }
 
-bool Transport::iprobe(int me, std::uint64_t ctx, int src_global, int tag,
-                       Status* out) {
-    Mailbox& mb = box(me);
-    std::lock_guard<std::mutex> lock(mb.mu);
-    PostedRecv probe_key;
-    probe_key.ctx = ctx;
-    probe_key.src_global = src_global;
-    probe_key.tag = tag;
+bool Transport::find_unexpected(const Mailbox& mb, const PostedRecv& key,
+                                Status* out) {
     for (const InMsg& m : mb.unexpected) {
-        if (matches(probe_key, m)) {
-            if (out) {
-                out->source = m.src_global;  // translated by caller
-                out->tag = m.tag;
-                out->bytes = m.bytes;
-            }
-            return true;
+        if (!matches(key, m)) continue;
+        if (out) {
+            out->source = m.src_global;  // translated by caller
+            out->tag = m.tag;
+            out->bytes = m.bytes;
         }
+        return true;
     }
     return false;
 }
 
-void Transport::probe(int me, std::uint64_t ctx, int src_global, int tag,
-                      Status* out) {
+bool Transport::iprobe(int me, std::uint64_t ctx_id, int src_global, int tag,
+                       Status* out) {
     Mailbox& mb = box(me);
-    std::unique_lock<std::mutex> lock(mb.mu);
-    PostedRecv probe_key;
-    probe_key.ctx = ctx;
-    probe_key.src_global = src_global;
-    probe_key.tag = tag;
-    for (;;) {
-        for (const InMsg& m : mb.unexpected) {
-            if (matches(probe_key, m)) {
-                if (out) {
-                    out->source = m.src_global;
-                    out->tag = m.tag;
-                    out->bytes = m.bytes;
-                }
-                return;
-            }
-        }
-        check_poison();
-        if (interrupted(probe_key)) {
-            lock.unlock();
-            throw_interrupt(probe_key);
-        }
-        mb.cv.wait(lock);
-    }
+    PostedRecv key;
+    key.ctx = ctx_id;
+    key.src_global = src_global;
+    key.tag = tag;
+    std::lock_guard<std::mutex> lock(mb.mu);
+    return find_unexpected(mb, key, out);
+}
+
+void Transport::probe(int me, std::uint64_t ctx_id, int src_global, int tag,
+                      Status* out, RankCtx* ctx) {
+    Mailbox& mb = box(me);
+    PostedRecv key;
+    key.ctx = ctx_id;
+    key.src_global = src_global;
+    key.tag = tag;
+    detail::block_until(
+        detail::Waiter{*this, ctx, me}, mb.mu, mb.cv,
+        [&] { return find_unexpected(mb, key, out); },
+        [&] { return interrupt_of(key); });
 }
 
 std::size_t Transport::unexpected_count(int me) {

@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "minimpi/block.h"
 #include "minimpi/netmodel.h"
 #include "minimpi/types.h"
 
@@ -122,34 +123,20 @@ public:
     /// matches, complete immediately.
     void post_recv(int me, PostedRecv* r);
 
-    /// Block the calling (receiver) thread until @p r completes.
-    void wait_recv(int me, PostedRecv* r);
-
-    /// Like wait_recv, but additionally unblocks when @p interrupt()
-    /// becomes true: the receive is deregistered and the call returns
-    /// false, leaving the caller to raise its own typed error. Used for
-    /// waits the per-receive interrupt rules cannot cover — the resilience
-    /// layer's control-frame receives ride the reliable side channel
-    /// (kRobustCtrlCtx, never revoked) from a live peer, yet must abandon
-    /// the ARQ when that peer leaves for recovery; the predicate is the
-    /// owning comm's interrupt state. Evaluated under the mailbox lock on
-    /// every wake — mark_dead and revoke_ctx notify every mailbox, so a
-    /// flip is observed promptly. Completion always wins (returns true);
-    /// a poisoned job or per-receive interrupt still throws as wait_recv
-    /// would. With the predicate constantly false the behavior is exactly
-    /// wait_recv's. Returns true when @p r completed.
-    bool wait_recv_intr(int me, PostedRecv* r,
-                        const std::function<bool()>& interrupt);
-
     /// Block until ANY of the given pending receives (all owned by @p me)
-    /// completes; returns the first completed index in scan order.
-    std::size_t wait_any_recv(int me, std::span<PostedRecv* const> rs);
-
-    /// wait_any_recv with the external-interrupt predicate of
-    /// wait_recv_intr: returns the first completed index, or SIZE_MAX with
-    /// every pending receive deregistered when @p interrupt() fires first.
-    std::size_t wait_any_recv_intr(int me, std::span<PostedRecv* const> rs,
-                                   const std::function<bool()>& interrupt);
+    /// completes; returns the first completed index in scan order. Goes
+    /// through detail::block_until with @p ctx as the waiter (null: a bare
+    /// transport, which parks and charges no detection latency). A poisoned
+    /// job, a dead source or a revoked context throws after deregistering
+    /// every receive; completion always wins. @p interrupt is for waits the
+    /// per-receive rules cannot cover — the resilience layer's control-frame
+    /// receives ride the reliable side channel (kRobustCtrlCtx, never
+    /// revoked) from a live peer, yet must abandon the ARQ when that peer
+    /// leaves for recovery. When it fires first, every receive is
+    /// deregistered and the call returns SIZE_MAX.
+    std::size_t wait(int me, std::span<PostedRecv* const> rs,
+                     RankCtx* ctx = nullptr,
+                     const std::function<bool()>& interrupt = {});
 
     /// Non-blocking completion check.
     bool test_recv(int me, PostedRecv* r);
@@ -160,16 +147,19 @@ public:
 
     /// MPI_Iprobe: report whether a matching message is pending without
     /// receiving it. Fills @p out with the envelope when found.
-    bool iprobe(int me, std::uint64_t ctx, int src_global, int tag,
+    bool iprobe(int me, std::uint64_t ctx_id, int src_global, int tag,
                 Status* out);
 
-    /// Blocking MPI_Probe.
-    void probe(int me, std::uint64_t ctx, int src_global, int tag,
-               Status* out);
+    /// Blocking MPI_Probe; waits like wait().
+    void probe(int me, std::uint64_t ctx_id, int src_global, int tag,
+               Status* out, RankCtx* ctx = nullptr);
 
     /// Number of messages currently sitting unexpected in @p me's mailbox
     /// (diagnostics/tests).
     std::size_t unexpected_count(int me);
+
+    /// Park record of world rank @p rank (see detail::ParkRecord).
+    detail::ParkRecord& park_record(int rank) { return box(rank).park; }
 
     /// Mark the job as aborted by @p by_rank and wake every blocked waiter;
     /// subsequent/pending blocking calls throw JobAborted.
@@ -207,18 +197,15 @@ public:
     /// Revoke a communicator context: every pending and future wait on it
     /// raises CommRevokedError (except completed receives, which are always
     /// consumed first — a message delivered before the revoke is never lost).
-    void revoke_ctx(std::uint64_t ctx);
+    /// Wakes every parked rank unless @p wake is false: a comm born revoked
+    /// has no waiter yet, and its creator may hold a rendezvous site's
+    /// mutex, which the wake path would take again.
+    void revoke_ctx(std::uint64_t ctx, bool wake = true);
 
     bool any_revoked() const {
         return revoke_count_.load(std::memory_order_acquire) > 0;
     }
     bool ctx_revoked(std::uint64_t ctx) const;
-
-    /// Raise the typed failure for @p r (a pending receive owned by world
-    /// rank @p me) if its source died or its context was revoked, after
-    /// deregistering it. Cheap no-op while no kill/revoke is active. Used by
-    /// polling receive paths that never block in wait_recv.
-    void check_recv_interrupt(int me, PostedRecv* r);
 
 private:
     std::atomic<bool> poisoned_{false};
@@ -237,6 +224,7 @@ private:
         /// Process-failure state of the mailbox OWNER (the world rank).
         std::atomic<bool> dead{false};
         VTime death_vtime = 0.0;  ///< written before `dead` is released
+        detail::ParkRecord park;  ///< where the OWNER is parked, if anywhere
     };
 
     static bool matches(const PostedRecv& r, const InMsg& m) {
@@ -269,14 +257,18 @@ private:
     /// re-perturbed by the fault plan.
     void deliver_matched(int dst_global, InMsg msg);
 
-    /// Whether a pending receive can never complete: its source died or its
-    /// context was revoked. Never true for completed receives.
-    bool interrupted(const PostedRecv& r) const;
+    /// Why a pending receive can never complete: its source died (a
+    /// wildcard: any rank died) or its context was revoked. Death wins over
+    /// revocation so detection stays deterministic.
+    detail::WaitInterrupt interrupt_of(const PostedRecv& r) const;
 
-    /// Throw the typed error for an interrupted receive (source death wins
-    /// over revocation so detection stays deterministic). Must be called
-    /// without holding the mailbox lock.
-    [[noreturn]] void throw_interrupt(const PostedRecv& r) const;
+    /// Copy the envelope of the first unexpected message matching @p key
+    /// into @p out (if given). Caller holds the mailbox lock.
+    static bool find_unexpected(const Mailbox& mb, const PostedRecv& key,
+                                Status* out);
+
+    /// Wake every parked rank (poison, death, revocation).
+    void wake_parked();
 
     Mailbox& box(int rank) { return *boxes_.at(static_cast<std::size_t>(rank)); }
 

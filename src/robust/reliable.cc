@@ -1,6 +1,7 @@
 #include "robust/reliable.h"
 
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "minimpi/context.h"
@@ -44,7 +45,8 @@ VTime backoff_us(const RobustConfig& cfg, std::uint64_t gen, int attempt,
 }  // namespace
 
 std::uint64_t alloc_channel_uid(const minimpi::Comm& comm) {
-    return comm.ctx().robust_chan_seq++;
+    return comm.state()
+        .member_chan_seq.at(static_cast<std::size_t>(comm.rank()))++;
 }
 
 bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
@@ -117,7 +119,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
     // initial DATA frame is dropped — each side keeps serving its peer's
     // retransmissions while waiting for its own acknowledgement.
     //
-    // Determinism: wait_any_recv wakes on whichever message was PHYSICALLY
+    // Determinism: the wait wakes on whichever message was PHYSICALLY
     // delivered first — a wall-clock race. To keep virtual time a pure
     // function of the fault plan, the two directions are tracked on
     // independent sub-clocks (t_recv / t_send) and merged with max() at the
@@ -129,6 +131,9 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
     // exact, not an approximation.)
     VTime t_send = ctx.clock.now();
     VTime t_recv = t_send;
+    const std::function<bool()> bailed = [&] {
+        return static_cast<bool>(minimpi::detail::comm_interrupt(comm.state()));
+    };
     while (!send_done || !recv_done) {
         PostedRecv* prs[2];
         std::size_t n = 0;
@@ -138,11 +143,10 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
         // control receive (kRobustCtrlCtx — never revoked, peer alive) is
         // pending, and a peer that left for recovery will never serve it.
         // The predicate watches the owning comm's failure state; false on
-        // every fault-free and payload-fault run, where this is exactly
-        // wait_any_recv.
-        const std::size_t hit = tp.wait_any_recv_intr(
-            ctx.world_rank, std::span<PostedRecv* const>(prs, n),
-            [&] { return minimpi::detail::comm_interrupted(comm.state()); });
+        // every fault-free and payload-fault run.
+        const std::size_t hit =
+            tp.wait(ctx.world_rank, std::span<PostedRecv* const>(prs, n),
+                    nullptr, bailed);
         if (hit == SIZE_MAX) {
             ctx.clock.set(std::max(t_send, t_recv));
             minimpi::detail::throw_comm_interrupt(comm.state(), ctx);
@@ -309,16 +313,17 @@ bool agree_failure(const minimpi::Comm& comm, bool my_fail, std::uint64_t gen,
     // The gather/broadcast legs ride the reliable control channel from live
     // peers, so the per-receive interrupt rules never fire; the comm-aware
     // predicate unblocks them when a peer abandons the ARQ for recovery.
-    const auto bailed = [&] {
-        return minimpi::detail::comm_interrupted(comm.state());
+    const std::function<bool()> bailed = [&] {
+        return static_cast<bool>(minimpi::detail::comm_interrupt(comm.state()));
     };
+    PostedRecv pr;
+    PostedRecv* const one[] = {&pr};
     if (me == 0) {
         for (int s = 1; s < n; ++s) {
-            PostedRecv pr;
             minimpi::detail::post_frame_recv(comm, &pr, nullptr, 0, s,
                                              minimpi::kAnyTag,
                                              minimpi::kRobustCtrlCtx);
-            if (!tp.wait_recv_intr(ctx.world_rank, &pr, bailed)) {
+            if (tp.wait(ctx.world_rank, one, nullptr, bailed) == SIZE_MAX) {
                 minimpi::detail::throw_comm_interrupt(comm.state(), ctx);
             }
             const auto r = minimpi::detail::finish_frame_recv(comm, pr);
@@ -331,11 +336,10 @@ bool agree_failure(const minimpi::Comm& comm, bool my_fail, std::uint64_t gen,
     } else {
         send_ctrl(comm, 0, kOpAgree,
                   my_fail ? FrameKind::Fail : FrameKind::Ack, gen);
-        PostedRecv pr;
         minimpi::detail::post_frame_recv(comm, &pr, nullptr, 0, 0,
                                          minimpi::kAnyTag,
                                          minimpi::kRobustCtrlCtx);
-        if (!tp.wait_recv_intr(ctx.world_rank, &pr, bailed)) {
+        if (tp.wait(ctx.world_rank, one, nullptr, bailed) == SIZE_MAX) {
             minimpi::detail::throw_comm_interrupt(comm.state(), ctx);
         }
         const auto r = minimpi::detail::finish_frame_recv(comm, pr);

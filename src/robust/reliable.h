@@ -98,9 +98,11 @@ inline bool reliable_recv(const minimpi::Comm& comm, void* buf,
 bool agree_failure(const minimpi::Comm& comm, bool my_fail, std::uint64_t gen,
                    const RobustConfig& cfg, RobustStats& st);
 
-/// Allocate this rank's next robust channel uid (per-rank program-order
-/// counter, identical across ranks that construct channels collectively).
-/// Generation stamps are (uid << 32) | epoch.
+/// Allocate this rank's next robust channel uid on @p comm: a per-member
+/// counter on the communicator (CommState::member_chan_seq), so every
+/// member that constructs channels on @p comm collectively gets the same
+/// uid, whatever channels it built on other comms before. Generation stamps
+/// are (uid << 32) | epoch.
 std::uint64_t alloc_channel_uid(const minimpi::Comm& comm);
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -70,26 +69,21 @@ Comm join_job_comm(Runtime& rt, Comm& world, const JobSpec& job, JobSlot& slot,
                    int mpos) {
     RankCtx& ctx = world.ctx();
     const int n = static_cast<int>(job.members.size());
-    VTime max_clock = 0.0;
     {
-        std::unique_lock<std::mutex> lk(slot.mu);
+        std::lock_guard<std::mutex> lk(slot.mu);
         slot.max_clock = std::max(slot.max_clock, ctx.clock.now());
         if (++slot.arrived == n) {
             slot.child = rt.create_comm(job.members, &world.state());
             slot.cv.notify_all();
         }
-        while (slot.child == nullptr) {
-            if (rt.transport().poisoned()) {
-                lk.unlock();
-                rt.transport().check_poison();  // throws JobAborted
-            }
-            // Timed wait: a peer that aborts can never signal this cv, so
-            // poll the poison flag instead of blocking forever (error path
-            // only — the happy path wakes through notify_all).
-            slot.cv.wait_for(lk, std::chrono::milliseconds(20));
-        }
-        max_clock = slot.max_clock;
     }
+    // A peer that aborts never arrives; the poison wakes this wait.
+    VTime max_clock = 0.0;
+    minimpi::detail::block_until(
+        minimpi::detail::waiter_of(ctx), slot.mu, slot.cv, [&] {
+            max_clock = slot.max_clock;
+            return slot.child != nullptr;
+        });
     ctx.clock.sync_to(max_clock);
     ctx.clock.advance(rt.one_off_sync_cost(n));
     return Comm(slot.child, &ctx, mpos);

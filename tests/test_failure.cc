@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "hybrid/hympi.h"
 
 using namespace minimpi;
@@ -67,6 +69,37 @@ TEST(Failure, OriginalErrorPreferredOverJobAborted) {
     } catch (const JobAborted&) {
         FAIL() << "JobAborted must not mask the original error";
     }
+}
+
+TEST(Failure, ErrorWhilePeersWaitOnNodeFlags) {
+    // One rank throws before it signals; its node peers are parked on
+    // shared flags, which nothing but the poison wake can release. Both
+    // flag waits: the ready/release round and a pipeline chunk wait.
+    Runtime rt(ClusterSpec::regular(1, 4), ModelParams::test());
+    using Body = std::function<void(hympi::NodeSync&, int)>;
+    const auto expect_original = [&](const Body& body) {
+        try {
+            rt.run([&](Comm& world) {
+                hympi::HierComm hc(world);
+                hympi::NodeSync sync(hc);
+                body(sync, world.rank());
+            });
+            FAIL() << "expected a throw";
+        } catch (const ArgumentError&) {
+            SUCCEED();
+        } catch (const JobAborted&) {
+            FAIL() << "JobAborted must not mask the original error";
+        }
+    };
+    expect_original([](hympi::NodeSync& sync, int rank) {
+        if (rank == 2) throw ArgumentError("no ready flag from rank 2");
+        sync.full_sync(hympi::SyncPolicy::Flags);
+    });
+    expect_original([](hympi::NodeSync& sync, int rank) {
+        const int slot = sync.chunk_slot_rank(1);
+        if (rank == 1) throw ArgumentError("no chunk from rank 1");
+        sync.chunk_wait(slot, sync.chunk_mark(slot) + 1);
+    });
 }
 
 TEST(Failure, RuntimeReusableAfterFailedRun) {

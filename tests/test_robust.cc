@@ -439,6 +439,25 @@ TEST(Robust, ExtraChannelsRecoverOverTheBridge) {
     EXPECT_GT(rt.total_robust_stats().recoveries, 0u);
 }
 
+TEST(Robust, ChannelUidAgreesAcrossMemberHistories) {
+    // Ranks 0-2 build a channel on a sub-comm first; the world channel that
+    // follows must still get one uid on every member, or the members'
+    // generation stamps differ and DATA frames are discarded as stale.
+    Runtime rt(ClusterSpec::regular(2, 3), ModelParams::test());
+    std::vector<std::uint64_t> uids(6, ~0ULL);
+    rt.run([&](Comm& world) {
+        const Comm sub = world.split(world.rank() < 3 ? 0 : kUndefined);
+        if (sub.valid()) robust::alloc_channel_uid(sub);
+        const std::uint64_t uid = robust::alloc_channel_uid(world);
+        std::vector<std::uint64_t> all(static_cast<std::size_t>(world.size()));
+        allgather(world, &uid, 1, all.data(), Datatype::UInt64);
+        if (world.rank() == 0) uids = all;
+    });
+    for (int r = 0; r < 6; ++r) {
+        EXPECT_EQ(uids[static_cast<std::size_t>(r)], uids[0]) << "rank " << r;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Degradation ladder, rung 1: Flags -> Barrier
 // ---------------------------------------------------------------------------

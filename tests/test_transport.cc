@@ -187,7 +187,8 @@ TEST(Transport, WaitBlocksUntilDelivery) {
         const int v = 55;
         t.deliver(1, make_msg(1, 0, 0, sizeof(int), &v));
     });
-    t.wait_recv(1, &r);
+    PostedRecv* const rs[] = {&r};
+    EXPECT_EQ(t.wait(1, rs), 0u);
     producer.join();
     EXPECT_EQ(out, 55);
 }
@@ -203,7 +204,8 @@ TEST(Transport, PoisonUnblocksWaiters) {
     t.post_recv(1, &r);
 
     std::thread killer([&] { t.poison(0); });
-    EXPECT_THROW(t.wait_recv(1, &r), JobAborted);
+    PostedRecv* const rs[] = {&r};
+    EXPECT_THROW(t.wait(1, rs), JobAborted);
     killer.join();
     EXPECT_TRUE(t.poisoned());
     EXPECT_THROW(t.check_poison(), JobAborted);
