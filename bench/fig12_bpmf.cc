@@ -10,8 +10,7 @@
 #include <cstdio>
 
 #include "apps/bpmf.h"
-#include "bench_util/latency.h"
-#include "bench_util/table.h"
+#include "bench_common.h"
 
 using namespace minimpi;
 using namespace apps;
@@ -61,6 +60,8 @@ int main() {
         const double hy = measure_bpmf(data, cores, Backend::Hybrid);
         table.add_row(cores, {ori, hy, ori / hy});
     }
-    table.print("Fig. 12 — BPMF TotalTime of 20 iterations (us, virtual)");
+    benchcm::emit(table, "fig12", "cray",
+                  "Fig. 12 — BPMF TotalTime of 20 iterations (us, virtual)",
+                  "cray");
     return 0;
 }

@@ -132,7 +132,13 @@ void HaloExchange1D::publish_and_exchange(SyncPolicy sync) {
 
     // Hybrid: only node-edge ranks touch the network; everyone then syncs
     // on node so the aliased reads see the published slab.
-    const int s = pub_slab();
+    exchange_node_edges(world, pub_slab());
+    sync_.full_sync(sync);
+}
+
+void HaloExchange1D::exchange_node_edges(const minimpi::Comm& world,
+                                         int s) const {
+    const std::size_t hb = halo_ * sizeof(double);
     const int local = hc_->shm().rank();
     const int ppn = hc_->shm().size();
     double* base = slab_base(s);
@@ -159,7 +165,6 @@ void HaloExchange1D::publish_and_exchange(SyncPolicy sync) {
     }
     r_right.wait();
     r_left.wait();
-    sync_.full_sync(sync);
 }
 
 minimpi::CollRequest HaloExchange1D::start_exchange(SyncPolicy sync) {
@@ -169,7 +174,6 @@ minimpi::CollRequest HaloExchange1D::start_exchange(SyncPolicy sync) {
             "MPI has no engine phase to overlap)");
     }
     const minimpi::Comm& world = hc_->world();
-    const std::size_t hb = halo_ * sizeof(double);
     ++epoch_;
     const int s = pub_slab();
     const int local = hc_->shm().rank();
@@ -186,31 +190,8 @@ minimpi::CollRequest HaloExchange1D::start_exchange(SyncPolicy sync) {
     // counter cannot be used for matching — the halo's own epoch counter
     // is the explicit sequence instead (identical on every rank, and
     // monotonic so in-flight epochs cannot cross-match).
-    double* base = slab_base(s);
-    double* my = slab_cells(s, local);
     return minimpi::CollRequest(minimpi::detail::post_icoll(
-        world, "hy_halo",
-        [this, world, base, my, hb, local, ppn] {
-            minimpi::Request r_right, r_left;
-            if (local == ppn - 1) {
-                r_right = irecv_bytes(
-                    world, base ? base + (slab_doubles_ - halo_) : nullptr,
-                    hb, right_rank_, kTagLeftward, true);
-            }
-            if (local == 0) {
-                r_left = irecv_bytes(world, base, hb, left_rank_,
-                                     kTagRightward, true);
-            }
-            if (local == ppn - 1) {
-                send_bytes(world, my ? my + (cells_ - halo_) : nullptr, hb,
-                           right_rank_, kTagRightward, true);
-            }
-            if (local == 0) {
-                send_bytes(world, my, hb, left_rank_, kTagLeftward, true);
-            }
-            r_right.wait();
-            r_left.wait();
-        },
+        world, "hy_halo", [this, world, s] { exchange_node_edges(world, s); },
         std::move(on_wait), epoch_));
 }
 

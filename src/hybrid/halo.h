@@ -96,6 +96,9 @@ private:
     int write_slab() const { return static_cast<int>(epoch_ % 2); }
     /// Pointer to local member @p idx's cells within slab @p s (hybrid).
     double* slab_cells(int s, int local_idx) const;
+    /// Hybrid network phase for slab @p s over @p world: only the node's
+    /// edge ranks trade halos with the neighboring nodes.
+    void exchange_node_edges(const minimpi::Comm& world, int s) const;
 };
 
 }  // namespace hympi

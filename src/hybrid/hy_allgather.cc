@@ -179,8 +179,6 @@ BridgeAlgo AllgatherChannel::tuned_bridge_algo(std::size_t& seg) const {
                       hc_->bridge().size(), max_bridge_count_);
     if (c.has_value()) {
         switch (c->algo) {
-            case tuning::algo::kBrBcast:
-                return BridgeAlgo::Bcast;
             case tuning::algo::kBrPipelined:
                 if (seg == 0) seg = c->segment_bytes;
                 seg = detail::clamp_segment(seg, kPipelineSegmentBytes,

@@ -9,11 +9,10 @@
 
 namespace hympi {
 
-CollBatcher::CollBatcher(const HierComm& hc, std::size_t capacity_bytes)
-    : hc_(&hc), capacity_(std::max<std::size_t>(capacity_bytes, 1)) {
+CollBatcher::CollBatcher(const HierComm& hc) : hc_(&hc) {
     const RobustConfig* cfg = hc.world().ctx().robust_cfg;
     if (cfg != nullptr && cfg->enabled) return;  // inert: flat reliable path
-    win_ = NodeSharedBuffer(hc, capacity_);
+    win_ = NodeSharedBuffer(hc, kBatchCapacity);
     if (win_.alloc_failed()) return;
     sync_.emplace(hc);
     active_ = true;
@@ -41,7 +40,6 @@ std::size_t CollBatcher::op_total(const PendingOp& op) const {
 bool CollBatcher::should_batch(std::size_t bytes) const {
     if (policy_ == BatchPolicy::Always) return true;
     if (policy_ == BatchPolicy::Never || !active_) return false;
-    if (threshold_bytes_ != 0) return bytes <= threshold_bytes_;
     const tuning::DecisionTable* table = hc_->world().ctx().tuned;
     if (table != nullptr) {
         const auto c =
@@ -61,33 +59,25 @@ minimpi::CollRequest CollBatcher::make_ticket() {
     // entirely wait-side, so the engine never needs a worker here.
     return minimpi::CollRequest(minimpi::detail::make_complete_icoll(
         hc_->world(), "hy_batch", [this, id = window_id_] {
-            if (id == window_id_) flush(sync_policy_);
+            if (id == window_id_) flush();
         }));
 }
 
 minimpi::CollRequest CollBatcher::enqueue(PendingOp op) {
     ++stats_.posted;
     const std::size_t total = op_total(op);
-    if (!active_ || !should_batch(op.bytes) || total > capacity_) {
+    if (!active_ || !should_batch(op.bytes) || total > kBatchCapacity) {
         // Unbatchable: drain the open window first so the shared posting
         // order stays intact, then run the op in place.
-        flush(sync_policy_);
+        flush();
         run_immediate(op);
         ++stats_.immediate;
         return minimpi::CollRequest(minimpi::detail::make_complete_icoll(
             hc_->world(), "hy_batch_immediate", {}));
     }
-    if (pending_bytes_ + total > capacity_) flush(sync_policy_);
-    const bool opens_window = pending_.empty();
+    if (pending_bytes_ + total > kBatchCapacity) flush();
     pending_.push_back(op);
     pending_bytes_ += total;
-    // Stamp the window at POST time with the last observed clock, so its
-    // age is measured from when the first op arrived, not from the next
-    // advance_window call (which may come arbitrarily later).
-    if (opens_window && clock_valid_) {
-        window_clocked_ = true;
-        window_open_us_ = clock_us_;
-    }
     return make_ticket();
 }
 
@@ -145,25 +135,11 @@ void CollBatcher::run_immediate(const PendingOp& op) {
     }
 }
 
-void CollBatcher::advance_window(double now_us) {
-    clock_us_ = now_us;
-    clock_valid_ = true;
-    if (pending_.empty() || window_us_ <= 0.0) return;
-    if (!window_clocked_) {
-        // Ops posted before any clock observation: their window ages from
-        // this first observation (the post-time stamp had no clock yet).
-        window_clocked_ = true;
-        window_open_us_ = now_us;
-    }
-    if (now_us - window_open_us_ >= window_us_) flush(sync_policy_);
-}
-
-void CollBatcher::flush(SyncPolicy sync) {
+void CollBatcher::flush() {
     if (pending_.empty()) return;
     // Close the window FIRST: the demux below may run under a ticket whose
     // id must already be stale, and the next post opens a fresh window.
     ++window_id_;
-    window_clocked_ = false;
     std::vector<PendingOp> ops;
     ops.swap(pending_);
     const std::size_t window_bytes = pending_bytes_;
@@ -223,7 +199,7 @@ void CollBatcher::flush(SyncPolicy sync) {
                 mine);
         }
     }
-    sync_->ready_phase(sync);
+    sync_->ready_phase(SyncPolicy::Flags);
     if (hc_->is_primary_leader() && nn > 1) {
         TraceSpan span(ctx, hytrace::Phase::Bridge, "batch_bridge");
         span.set_algo("fused_bruck");
@@ -231,7 +207,7 @@ void CollBatcher::flush(SyncPolicy sync) {
         detail::node_block_bruck(hc_->bridge(), win_.data(), node_displ,
                                  node_count, 0x60);
     }
-    sync_->release_phase(sync);
+    sync_->release_phase(SyncPolicy::Flags);
     {
         // Demultiplex every op out of the fully-populated window.
         TraceSpan span(ctx, hytrace::Phase::Copy, "batch_demux");
@@ -269,7 +245,7 @@ void CollBatcher::flush(SyncPolicy sync) {
     }
     // Quiesce: the next window's layout differs, so its pack phase must
     // happen-after every on-node reader's demux of THIS window.
-    sync_->full_sync(sync);
+    sync_->full_sync(SyncPolicy::Flags);
     stats_.fused += nops;
     stats_.fused_bytes += window_bytes;
     ++stats_.windows;

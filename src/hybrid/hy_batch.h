@@ -24,9 +24,9 @@ enum class BatchPolicy : std::uint8_t {
     Never,
 };
 
-/// Default fused-window capacity: enough for dozens of sub-KiB ops without
+/// Fused-window capacity: enough for dozens of sub-KiB ops without
 /// approaching the sizes where fusing stops paying.
-inline constexpr std::size_t kDefaultBatchCapacity = 256 * 1024;
+inline constexpr std::size_t kBatchCapacity = 256 * 1024;
 
 /// Small-collective aggregation shim (the startup-dominated regime of the
 /// paper's Fig. 8, pushed one step further): concurrent small allgathers,
@@ -35,7 +35,9 @@ inline constexpr std::size_t kDefaultBatchCapacity = 256 * 1024;
 /// per-node contributions travel as ONE aggregated Bruck message per
 /// bridge round (detail::node_block_bruck, the LocBruck core) instead of
 /// one inter-node exchange per op, and each op is demultiplexed out of the
-/// node-shared window on release.
+/// node-shared window on release. A window closes when the next op would
+/// overflow kBatchCapacity, on an explicit flush(), or when any of its
+/// requests is first waited; every flush syncs with node flags.
 ///
 /// Usage discipline (collective, SPMD): every rank of hc.world() must
 /// construct the batcher collectively, post the SAME ops in the SAME
@@ -53,8 +55,7 @@ class CollBatcher {
 public:
     /// Collective over hc.shm() (allocates the node-shared window unless
     /// robust mode forces the inert path).
-    explicit CollBatcher(const HierComm& hc,
-                         std::size_t capacity_bytes = kDefaultBatchCapacity);
+    explicit CollBatcher(const HierComm& hc);
 
     /// Batching machinery live (not robust-inert, window allocated).
     bool active() const { return active_; }
@@ -73,29 +74,9 @@ public:
     /// Close and execute the open window (no-op when empty). Collective:
     /// every rank must flush at the same point of the shared posting order.
     /// Waiting any of the window's requests flushes implicitly.
-    void flush(SyncPolicy sync);
-    void flush() { flush(sync_policy_); }
+    void flush();
 
     void set_policy(BatchPolicy p) { policy_ = p; }
-    /// Explicit fuse threshold in bytes (per-op payload); overrides the
-    /// tuned BatchWindow table. 0 restores Auto resolution.
-    void set_threshold(std::size_t bytes) { threshold_bytes_ = bytes; }
-    /// Sync policy used by implicit (wait-triggered / capacity) flushes.
-    void set_sync_policy(SyncPolicy p) { sync_policy_ = p; }
-
-    /// Virtual-time window bound: once advance_window() observes the open
-    /// window older than @p us, it flushes. A window opens at POST time —
-    /// the clock value last observed by advance_window when its first op
-    /// is enqueued — so its age never exceeds @p us by more than the gap
-    /// between advance calls; ops posted before any observation age from
-    /// the first advance_window call instead. 0 disables (default) —
-    /// windows then close only on capacity, explicit flush or first wait.
-    void set_window_us(double us) { window_us_ = us; }
-    /// Drive the time-bound window. @p now_us MUST be uniform across the
-    /// communicator's ranks (e.g. schedule arrival times that are a pure
-    /// function of shared config) — per-rank virtual clocks diverge and
-    /// would split the window membership across ranks.
-    void advance_window(double now_us);
 
     struct Stats {
         std::uint64_t posted = 0;     ///< ops accepted by post_*
@@ -124,8 +105,8 @@ private:
     static std::size_t contrib(const PendingOp& op, int r);
     /// Whole-window footprint of @p op (sum of contributions).
     std::size_t op_total(const PendingOp& op) const;
-    /// Fuse decision for one op's per-payload size (policy -> explicit
-    /// threshold -> tuned BatchWindow table -> legacy 1 KiB).
+    /// Fuse decision for one op's per-payload size (policy -> tuned
+    /// BatchWindow table -> legacy 1 KiB).
     bool should_batch(std::size_t bytes) const;
     /// Enqueue (flushing a full window first) or execute immediately.
     minimpi::CollRequest enqueue(PendingOp op);
@@ -136,15 +117,7 @@ private:
     NodeSharedBuffer win_;
     std::optional<NodeSync> sync_;
     bool active_ = false;
-    std::size_t capacity_ = 0;
     BatchPolicy policy_ = BatchPolicy::Auto;
-    std::size_t threshold_bytes_ = 0;
-    SyncPolicy sync_policy_ = SyncPolicy::Flags;
-    double window_us_ = 0.0;
-    double window_open_us_ = 0.0;
-    bool window_clocked_ = false;  ///< window_open_us_ holds a timestamp
-    double clock_us_ = 0.0;    ///< last advance_window observation
-    bool clock_valid_ = false;  ///< clock_us_ holds an observation
 
     std::vector<PendingOp> pending_;
     std::size_t pending_bytes_ = 0;

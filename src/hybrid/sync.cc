@@ -146,14 +146,22 @@ void NodeSync::chunk_wait(int slot, std::uint64_t target) {
     });
 }
 
+void NodeSync::barrier_phase(const char* name) {
+    minimpi::RankCtx& ctx = hc_->shm().ctx();
+    TraceSpan span(ctx, hytrace::Phase::Sync, name);
+    span.set_algo("barrier");
+    const VTime begin = ctx.clock.now();
+    minimpi::barrier(hc_->shm());
+    HYTRACE_COUNTER(ctx, sync_wait_us, ctx.clock.now() - begin);
+}
+
 void NodeSync::ready_phase(SyncPolicy p, bool collector) {
-    const Comm& shm = hc_->shm();
-    TraceSpan span(shm.ctx(), hytrace::Phase::Sync, "ready_sync");
     if (effective(p) == SyncPolicy::Barrier) {
-        span.set_algo("barrier");
-        minimpi::barrier(shm);
+        barrier_phase("ready_sync");
         return;
     }
+    const Comm& shm = hc_->shm();
+    TraceSpan span(shm.ctx(), hytrace::Phase::Sync, "ready_sync");
     span.set_algo("flags");
     minimpi::RankCtx& ctx = shm.ctx();
     ++my_ready_epoch_;
@@ -168,13 +176,12 @@ void NodeSync::ready_phase(SyncPolicy p, bool collector) {
 }
 
 void NodeSync::release_phase(SyncPolicy p) {
-    const Comm& shm = hc_->shm();
-    TraceSpan span(shm.ctx(), hytrace::Phase::Sync, "release_sync");
     if (effective(p) == SyncPolicy::Barrier) {
-        span.set_algo("barrier");
-        minimpi::barrier(shm);
+        barrier_phase("release_sync");
         return;
     }
+    const Comm& shm = hc_->shm();
+    TraceSpan span(shm.ctx(), hytrace::Phase::Sync, "release_sync");
     span.set_algo("flags");
     minimpi::RankCtx& ctx = shm.ctx();
     const hympi::RobustConfig* cfg = ctx.robust_cfg;
@@ -220,9 +227,7 @@ void NodeSync::release_phase(SyncPolicy p) {
 
 void NodeSync::full_sync(SyncPolicy p) {
     if (p == SyncPolicy::Barrier) {
-        TraceSpan span(hc_->shm().ctx(), hytrace::Phase::Sync, "full_sync");
-        span.set_algo("barrier");
-        minimpi::barrier(hc_->shm());
+        barrier_phase("full_sync");
         return;
     }
     ready_phase(p);

@@ -156,6 +156,9 @@ private:
     };
 
     void signal(Cell& c, minimpi::RankCtx& ctx);
+    /// One on-node barrier under a Sync span named @p name. The whole
+    /// barrier counts as a wait in the sync_wait_us counter.
+    void barrier_phase(const char* name);
     /// The one flag wait (detail::block_until): block until @p seq reaches
     /// @p target, then synchronize this rank's clock to that signal's
     /// stamp, read by @p stamp under the lock. @p owner_world publishes the

@@ -93,12 +93,7 @@ void apply_op(RankCtx& ctx, Op op, Datatype dt, void* inout, const void* in,
 /// Flat (single-level) algorithm entry points, exposed for tests and for
 /// ablation benchmarks that want to bypass the SMP-aware dispatch.
 void barrier_dissemination(const Comm& comm);
-/// Tree barrier (binomial zero-byte gather + binomial release): a second
-/// candidate for the decision tables. Half the messages of dissemination
-/// at twice the depth — the tuner decides whether that ever pays off.
-void barrier_tree(const Comm& comm);
-/// Message-passing barrier with profile-driven selection (decision table,
-/// else dissemination).
+/// Message-passing barrier: dissemination under a traced Sync span.
 void barrier_auto(const Comm& comm);
 /// Tuned single-node barrier (shared counters, no messages) — what vendor
 /// MPI libraries actually run for on-node communicators.

@@ -49,46 +49,10 @@ void bcast_auto(const Comm& comm, void* buf, std::size_t bytes, int root) {
     }
 }
 
-void barrier_tree(const Comm& comm) {
-    const int p = comm.size();
-    const int r = comm.rank();
-    // Check-in: binomial gather of zero-byte tokens towards rank 0.
-    int mask = 1;
-    while (mask < p) {
-        if (r & mask) {
-            send_bytes(comm, nullptr, 0, r - mask, kTagBarrier + 0x100, true);
-            break;
-        }
-        if (r + mask < p) {
-            recv_bytes(comm, nullptr, 0, r + mask, kTagBarrier + 0x100, true);
-        }
-        mask <<= 1;
-    }
-    // Release: binomial broadcast of zero-byte tokens from rank 0.
-    if (r != 0) {
-        while (!(r & mask)) mask <<= 1;  // resume at the parent link
-        recv_bytes(comm, nullptr, 0, r - mask, kTagBarrier + 0x101, true);
-    }
-    mask >>= 1;
-    while (mask > 0) {
-        if (r + mask < p && !(r & mask)) {
-            send_bytes(comm, nullptr, 0, r + mask, kTagBarrier + 0x101, true);
-        }
-        mask >>= 1;
-    }
-}
-
 void barrier_auto(const Comm& comm) {
     TraceSpan span(comm.ctx(), hytrace::Phase::Sync, "barrier");
     span.set_coll("Barrier");
     span.set_comm(comm.size(), comm.rank());
-    if (auto c = tuned_choice(comm, tuning::Op::Barrier, 0)) {
-        if (c->algo == tuning::algo::kBarTree) {
-            span.set_algo("tree");
-            barrier_tree(comm);
-            return;
-        }
-    }
     span.set_algo("dissemination");
     barrier_dissemination(comm);
 }

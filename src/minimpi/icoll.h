@@ -222,11 +222,11 @@ public:
     bool valid() const { return st_ != nullptr; }
     bool active() const { return st_ != nullptr && st_->cycle_active; }
 
-    /// @internal used by the hybrid layer's persistent channels.
+private:
+    /// Wraps a state built by the *_init factories above.
     explicit PersistentColl(std::shared_ptr<detail::IcollState> st)
         : st_(std::move(st)) {}
 
-private:
     void destroy();  ///< shared teardown of dtor / move-assign; may throw
 
     std::shared_ptr<detail::IcollState> st_;

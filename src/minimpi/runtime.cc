@@ -101,6 +101,10 @@ VTime Runtime::one_off_sync_cost(int nranks) const {
 
 namespace {
 
+/// Stack size per rank thread. Large jobs (64 nodes x 24 ranks = 1536
+/// threads) need small stacks; application code keeps big data on the heap.
+constexpr std::size_t kRankStackBytes = 1 << 20;
+
 struct RankThreadArgs {
     Runtime* runtime;
     RankCtx* ctx;
@@ -191,8 +195,7 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
 
     pthread_attr_t attr;
     pthread_attr_init(&attr);
-    pthread_attr_setstacksize(
-        &attr, std::max<std::size_t>(opts_.stack_bytes, 128 * 1024));
+    pthread_attr_setstacksize(&attr, kRankStackBytes);
 
     for (int i = 0; i < n; ++i) {
         const int rc =

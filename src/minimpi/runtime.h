@@ -18,11 +18,6 @@ namespace minimpi {
 
 /// Options controlling rank-thread execution.
 struct RunOptions {
-    /// Stack size per rank thread. Large jobs (64 nodes x 24 ranks = 1536
-    /// threads) need small stacks; application code keeps big data on the
-    /// heap.
-    std::size_t stack_bytes = 1 << 20;
-
     /// Record virtual-time spans and counters (see src/trace); retrieve
     /// with Runtime::last_span_traces after run(). Span recording is also
     /// switched on process-wide by HYMPI_TRACE=<path> (the Chrome export

@@ -29,17 +29,6 @@ struct RobustConfig {
     /// detected at the death instant), not a disable knob.
     double watchdog_us = 50.0;
 
-    /// Base of the exponential backoff charged (in virtual time) before a
-    /// retransmission: backoff = base * 2^(attempt-1) * jitter, with
-    /// deterministic jitter in [0.5, 1.5).
-    double backoff_base_us = 2.0;
-
-    /// Verify a per-partition checksum (frame_checksum: a WordFold over
-    /// the payload, bound to gen and length) on every DATA frame. The scan
-    /// cost is charged by byte count in both payload modes, so Real and
-    /// SizeOnly timings agree under drop/dup plans.
-    bool checksums = true;
-
     /// Consecutive late flag rounds tolerated before NodeSync downgrades
     /// Flags -> Barrier for the rest of the job.
     int sync_trip_limit = 3;

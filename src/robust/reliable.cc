@@ -27,17 +27,20 @@ void send_ctrl(const Comm& comm, int peer, int op_tag, FrameKind kind,
                                 minimpi::kRobustCtrlCtx, false);
 }
 
+/// Base of the retransmission backoff, in virtual microseconds.
+constexpr double kBackoffBaseUs = 2.0;
+
 /// Deterministic jittered exponential backoff for the @p attempt-th
-/// retransmission: base * 2^(attempt-2) * [0.5, 1.5). Charged in virtual
-/// time only — a pure function of (gen, attempt, rank), so identical runs
-/// back off identically and the vtime/determinism tests hold under faults.
-VTime backoff_us(const RobustConfig& cfg, std::uint64_t gen, int attempt,
-                 int world_rank) {
+/// retransmission: kBackoffBaseUs * 2^(attempt-2) * [0.5, 1.5). Charged in
+/// virtual time only — a pure function of (gen, attempt, rank), so
+/// identical runs back off identically and the vtime/determinism tests
+/// hold under faults.
+VTime backoff_us(std::uint64_t gen, int attempt, int world_rank) {
     const std::uint64_t h =
         mix64(gen ^ mix64((static_cast<std::uint64_t>(attempt) << 32) |
                           static_cast<std::uint32_t>(world_rank)));
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-    double b = cfg.backoff_base_us;
+    double b = kBackoffBaseUs;
     for (int i = 2; i < attempt; ++i) b *= 2.0;
     return b * (0.5 + u);
 }
@@ -78,18 +81,16 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
         h.bytes = sbytes;
         std::memcpy(sframe.data(), &h, sizeof(h));
         ctx.copy_bytes(sframe.data() + sizeof(h), sbuf, sbytes);
-        if (cfg.checksums) {
-            // Checksum scan cost, charged in both payload modes so Real and
-            // SizeOnly timings agree under drop/dup plans. The sum is taken
-            // over the FRAME payload (not sbuf) so it agrees with the
-            // receiver's verification for zero-byte and null contributions
-            // (a zero-byte buffer has a null base but a well-defined sum).
-            ctx.charge_memcpy(sbytes);
-            if (real) {
-                h.checksum = frame_checksum(sframe.data() + sizeof(h), sbytes,
-                                            h.gen, h.bytes);
-                std::memcpy(sframe.data(), &h, sizeof(h));
-            }
+        // Checksum scan cost, charged in both payload modes so Real and
+        // SizeOnly timings agree under drop/dup plans. The sum is taken over
+        // the FRAME payload (not sbuf) so it agrees with the receiver's
+        // verification for zero-byte and null contributions (a zero-byte
+        // buffer has a null base but a well-defined sum).
+        ctx.charge_memcpy(sbytes);
+        if (real) {
+            h.checksum = frame_checksum(sframe.data() + sizeof(h), sbytes,
+                                        h.gen, h.bytes);
+            std::memcpy(sframe.data(), &h, sizeof(h));
         }
         minimpi::detail::send_frame(comm, sframe.data(), sframe.size(), dest,
                                     data_tag, comm.state().ctx_coll, true);
@@ -167,7 +168,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                 ctx.clock.advance(cfg.watchdog_us);
                 bad = true;
             } else {
-                if (cfg.checksums) ctx.charge_memcpy(rbytes);
+                ctx.charge_memcpy(rbytes);
                 if (r.bytes != rframe.size()) bad = true;
                 if (!bad && real) {
                     FrameHeader h;
@@ -184,10 +185,9 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                         bad = true;
                     } else if (h.bytes != rbytes) {
                         bad = true;
-                    } else if (cfg.checksums &&
-                               h.checksum !=
-                                   frame_checksum(rframe.data() + sizeof(h),
-                                                  rbytes, h.gen, h.bytes)) {
+                    } else if (h.checksum !=
+                               frame_checksum(rframe.data() + sizeof(h),
+                                              rbytes, h.gen, h.bytes)) {
                         bad = true;
                     } else if (h.gen != gen) {
                         stale = true;  // intact duplicate from an earlier epoch
@@ -275,7 +275,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                     ++attempt;
                     const VTime t_backoff0 = ctx.clock.now();
                     ctx.clock.advance(
-                        backoff_us(cfg, gen, attempt, ctx.world_rank));
+                        backoff_us(gen, attempt, ctx.world_rank));
                     if (hytrace::Span* bs = minimpi::trace_complete(
                             ctx, hytrace::Phase::Robust, "backoff",
                             t_backoff0)) {

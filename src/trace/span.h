@@ -66,7 +66,10 @@ struct Counters {
     std::uint64_t bridge_bytes = 0;  ///< bytes sent inside bridge-exchange spans
     std::uint64_t shm_bytes = 0;     ///< bytes moved through node-shared memory
     std::uint64_t xsocket_bytes = 0; ///< bytes crossing a NUMA socket boundary
-    VTime sync_wait_us = 0.0;        ///< vtime spent in barrier/flag sync waits
+    /// vtime spent in on-node sync waits: a flag wait counts from its
+    /// start until the flag was published; a barrier counts as a wait
+    /// from its start to its end.
+    VTime sync_wait_us = 0.0;
     std::uint64_t retransmits = 0;   ///< robust DATA frames retransmitted
     std::uint64_t degradations = 0;  ///< ladder downgrades (Flags->Barrier, ->flat)
     std::uint64_t chunks = 0;        ///< pipeline chunks processed by this rank

@@ -29,8 +29,6 @@ mm::ClusterSpec cluster_for(Shape shape, int comm_size) {
 
 hympi::BridgeAlgo bridge_algo_of(std::uint8_t id) {
     switch (id) {
-        case algo::kBrBcast:
-            return hympi::BridgeAlgo::Bcast;
         case algo::kBrPipelined:
             return hympi::BridgeAlgo::Pipelined;
         case algo::kBrBruckV:
@@ -97,6 +95,7 @@ std::function<void()> make_op(mm::Comm& comm, Op op, std::size_t bytes,
                 mm::detail::bcast_binomial(comm, nullptr, bytes, 0);
             };
         case Op::Allreduce:
+        default:
             // Byte elements: count == bytes.
             if (choice.algo == algo::kArRing) {
                 return [&comm, bytes] {
@@ -110,12 +109,6 @@ std::function<void()> make_op(mm::Comm& comm, Op op, std::size_t bytes,
                     comm, nullptr, nullptr, bytes, mm::Datatype::Byte,
                     mm::Op::Max);
             };
-        case Op::Barrier:
-        default:
-            if (choice.algo == algo::kBarTree) {
-                return [&comm] { mm::detail::barrier_tree(comm); };
-            }
-            return [&comm] { mm::detail::barrier_dissemination(comm); };
     }
 }
 
@@ -177,13 +170,8 @@ std::vector<Choice> candidates(Op op, int comm_size, const TuneConfig& cfg) {
             add(algo::kArRecDoubling);
             add(algo::kArRing);
             break;
-        case Op::Barrier:
-            add(algo::kBarDissemination);
-            add(algo::kBarTree);
-            break;
         case Op::BridgeExchange:
             add(algo::kBrVendorAllgatherv);
-            add(algo::kBrBcast);
             add(algo::kBrPipelined);  // segment 0 = built-in heuristic
             for (std::uint32_t s : cfg.segment_bytes) {
                 add(algo::kBrPipelined, s);
@@ -241,8 +229,6 @@ Choice legacy_choice(const mm::ModelParams& profile, Op op, int comm_size,
                               ? algo::kArRing
                               : algo::kArRecDoubling,
                           0};
-        case Op::Barrier:
-            return Choice{algo::kBarDissemination, 0};
         case Op::ChunkSize:
             // Pre-pipeline behaviour: Auto never chunks without a table row.
             return Choice{algo::kCsWhole, 0};
@@ -370,9 +356,9 @@ double measure(const mm::ModelParams& profile, Op op, Shape shape,
                    mm::PayloadMode::SizeOnly);
     if (op == Op::BridgeExchange) {
         // The Fig. 8 scenario: comm_size nodes at 1 process per node; each
-        // node block is `bytes`. Candidates that delegate to minimpi
-        // collectives (vendor allgatherv, bcast) run under whatever table
-        // is currently registered for the profile.
+        // node block is `bytes`. The vendor-allgatherv candidate delegates
+        // to minimpi and runs under whatever table is currently registered
+        // for the profile.
         const hympi::BridgeAlgo a = bridge_algo_of(choice.algo);
         const std::size_t seg = choice.segment_bytes;
         return benchu::osu_latency(
@@ -423,9 +409,6 @@ DecisionTable tune_profile(const mm::ModelParams& profile,
     sweep(Op::Bcast, Shape::Shm, cfg.shm_sizes, cfg.message_bytes, false);
     sweep(Op::Allreduce, Shape::Net, cfg.net_sizes, cfg.message_bytes, false);
     sweep(Op::Allreduce, Shape::Shm, cfg.shm_sizes, cfg.message_bytes, false);
-    // On-node barriers always use the shared-counter implementation, so
-    // only the network shape is tuned; the byte axis is degenerate.
-    sweep(Op::Barrier, Shape::Net, cfg.net_sizes, {0}, false);
     // Hybrid on-node NUMA phase, measured on one dual-socket node. The
     // candidates are forced (never Auto), so this sweep cannot re-enter the
     // table being built.
@@ -433,8 +416,8 @@ DecisionTable tune_profile(const mm::ModelParams& profile,
           false);
 
     // Bridge exchange last, with the partial table registered so the
-    // vendor-allgatherv and bcast candidates run with tuned inner selection
-    // (an override shadows any baked table of the same profile).
+    // vendor-allgatherv candidate runs with tuned inner selection (an
+    // override shadows any baked table of the same profile).
     register_table(table);
     sweep(Op::BridgeExchange, Shape::Net, cfg.bridge_sizes,
           cfg.bridge_block_bytes, false);

@@ -17,9 +17,9 @@ namespace {
 
 const char* const kOpNames[kNumOps] = {"allgather",       "allgatherv",
                                        "bcast",           "allreduce",
-                                       "barrier",         "bridge_exchange",
-                                       "socket_staging",  "chunk_size",
-                                       "loc_bruck",       "batch_window"};
+                                       "bridge_exchange", "socket_staging",
+                                       "chunk_size",      "loc_bruck",
+                                       "batch_window"};
 const char* const kShapeNames[kNumShapes] = {"net", "shm"};
 
 /// Per-op algorithm name tables, indexed by the algo:: constants.
@@ -29,8 +29,7 @@ const std::vector<const char*>& algo_names(Op op) {
         {"bruck", "ring"},                               // Allgatherv
         {"binomial", "pipelined"},                       // Bcast
         {"recursive_doubling", "ring"},                  // Allreduce
-        {"dissemination", "tree"},                       // Barrier
-        {"allgatherv", "bcast", "pipelined", "bruckv",   // BridgeExchange
+        {"allgatherv", "pipelined", "bruckv",            // BridgeExchange
          "neighbor_exchange"},
         {"flat", "staged"},                              // SocketStaging
         {"whole", "pipelined"},                          // ChunkSize

@@ -30,7 +30,6 @@ enum class Op : std::uint8_t {
     Allgatherv,      ///< keyed by total receive-buffer bytes
     Bcast,           ///< keyed by message bytes
     Allreduce,       ///< keyed by message bytes
-    Barrier,         ///< keyed by 0 (no message size axis)
     BridgeExchange,  ///< hybrid bridge allgatherv; keyed by the largest
                      ///< node-block byte count on the bridge
     SocketStaging,   ///< hybrid on-node NUMA phase (flat vs socket-staged);
@@ -50,7 +49,7 @@ enum class Op : std::uint8_t {
                      ///< exchange or executed immediately; keyed by
                      ///< (node count, per-op payload bytes)
 };
-inline constexpr int kNumOps = 10;
+inline constexpr int kNumOps = 9;
 
 /// Link class of the communicator the operation runs on. Collective call
 /// sites in minimpi are link-pure: the SMP-aware dispatch sends mixed
@@ -79,15 +78,11 @@ inline constexpr std::uint8_t kBcPipelined = 1;
 // Op::Allreduce
 inline constexpr std::uint8_t kArRecDoubling = 0;
 inline constexpr std::uint8_t kArRing = 1;
-// Op::Barrier
-inline constexpr std::uint8_t kBarDissemination = 0;
-inline constexpr std::uint8_t kBarTree = 1;
 // Op::BridgeExchange
 inline constexpr std::uint8_t kBrVendorAllgatherv = 0;
-inline constexpr std::uint8_t kBrBcast = 1;
-inline constexpr std::uint8_t kBrPipelined = 2;
-inline constexpr std::uint8_t kBrBruckV = 3;
-inline constexpr std::uint8_t kBrNeighborExchange = 4;
+inline constexpr std::uint8_t kBrPipelined = 1;
+inline constexpr std::uint8_t kBrBruckV = 2;
+inline constexpr std::uint8_t kBrNeighborExchange = 3;
 // Op::SocketStaging
 inline constexpr std::uint8_t kSsFlat = 0;
 inline constexpr std::uint8_t kSsStaged = 1;

@@ -71,7 +71,7 @@ TEST(CollBatcher, FusedWindowMatchesFlatCollectives) {
         reqs.push_back(
             batch.post_allreduce(rin.data(), rsum.data(), kRed,
                                  Datatype::Double, Op::Sum));
-        batch.flush(SyncPolicy::Flags);
+        batch.flush();
         wait_all(reqs);
 
         EXPECT_EQ(std::memcmp(out_a.data(), ref_a.data(), ref_a.size()), 0);
@@ -122,15 +122,16 @@ TEST(CollBatcher, CapacityOverflowSplitsWindows) {
     rt.run([&](Comm& world) {
         const int p = world.size();
         const int me = world.rank();
-        constexpr std::size_t kN = 64;
+        // Two fused allgathers (p * kN bytes each) fill the window exactly.
+        const std::size_t kN =
+            kBatchCapacity / (2 * static_cast<std::size_t>(p));
         std::vector<std::byte> send(kN);
         fill(send.data(), kN, me + 9);
         std::vector<std::byte> ref(kN * static_cast<std::size_t>(p));
         allgather(world, send.data(), kN, ref.data(), Datatype::Byte);
 
         HierComm hc(world);
-        // Window fits ~2 fused allgathers (p * kN bytes each).
-        CollBatcher batch(hc, 2 * kN * static_cast<std::size_t>(p) + 1);
+        CollBatcher batch(hc);
         batch.set_policy(BatchPolicy::Always);
         constexpr int kOps = 5;
         std::vector<std::vector<std::byte>> outs(
@@ -147,7 +148,7 @@ TEST(CollBatcher, CapacityOverflowSplitsWindows) {
                 << "op " << i;
         }
         EXPECT_EQ(batch.stats().fused, static_cast<std::uint64_t>(kOps));
-        EXPECT_GE(batch.stats().windows, 2u);
+        EXPECT_EQ(batch.stats().windows, 3u);
         barrier(world);
     });
 }
@@ -261,52 +262,6 @@ TEST(CollBatcher, SizeOnlyNullBuffers) {
         batch.flush();
         wait_all(reqs);
         EXPECT_EQ(batch.stats().fused, 8u);
-        barrier(world);
-    });
-}
-
-TEST(CollBatcher, TimeWindowAdvanceFlushes) {
-    Runtime rt(ClusterSpec::regular(2, 2), ModelParams::cray());
-    rt.run([&](Comm& world) {
-        const int p = world.size();
-        const int me = world.rank();
-        constexpr std::size_t kN = 16;
-        std::vector<std::byte> send(kN);
-        fill(send.data(), kN, me + 3);
-        std::vector<std::byte> ref(kN * static_cast<std::size_t>(p));
-        allgather(world, send.data(), kN, ref.data(), Datatype::Byte);
-
-        HierComm hc(world);
-        CollBatcher batch(hc);
-        batch.set_policy(BatchPolicy::Always);
-        batch.set_window_us(100.0);
-        std::vector<std::byte> out(ref.size());
-        batch.advance_window(0.0);  // empty window: no flush, clocks t=0
-        // The window opens at POST time (the last observed clock, t=0) —
-        // not at the next advance call.
-        CollRequest r = batch.post_allgather(send.data(), kN, out.data());
-        batch.advance_window(50.0);  // young (50us < 100us): stays open
-        EXPECT_EQ(batch.stats().windows, 0u);
-        batch.advance_window(120.0);  // expired (120us >= 100us): flushes
-        EXPECT_EQ(batch.stats().windows, 1u);
-        r.wait();
-        EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.size()), 0);
-
-        // Ops posted before the batcher ever saw a clock fall back to
-        // aging from the first advance_window observation.
-        CollBatcher fresh(hc);
-        fresh.set_policy(BatchPolicy::Always);
-        fresh.set_window_us(100.0);
-        std::vector<std::byte> out2(ref.size());
-        CollRequest r2 = fresh.post_allgather(send.data(), kN, out2.data());
-        fresh.advance_window(1000.0);  // stamps the open window at t=1000
-        EXPECT_EQ(fresh.stats().windows, 0u);
-        fresh.advance_window(1050.0);  // young (50us < 100us): stays open
-        EXPECT_EQ(fresh.stats().windows, 0u);
-        fresh.advance_window(1100.0);  // expired: flushes collectively
-        EXPECT_EQ(fresh.stats().windows, 1u);
-        r2.wait();
-        EXPECT_EQ(std::memcmp(out2.data(), ref.data(), ref.size()), 0);
         barrier(world);
     });
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "hybrid/hympi.h"
 #include "trace/json.h"
@@ -171,6 +172,36 @@ TEST(Spans, IdenticalRunsProduceIdenticalSpansAndCounters) {
             EXPECT_DOUBLE_EQ(a.t_start, b.t_start);
             EXPECT_DOUBLE_EQ(a.t_end, b.t_end);
         }
+    }
+}
+
+// A barrier-synced round counts every on-node barrier as a wait from its
+// start to its end, so each rank's sync_wait_us equals the summed duration
+// of its barrier-backed Sync spans.
+TEST(Spans, BarrierSyncWaitsAreCounted) {
+    RunOptions opts;
+    opts.spans = true;
+    Runtime rt(ClusterSpec::regular(2, 4), ModelParams::cray(),
+               PayloadMode::SizeOnly, opts);
+    rt.run([](Comm& world) {
+        hympi::HierComm hc(world);
+        hympi::AllgatherChannel ch(hc, 512);
+        ch.run(hympi::SyncPolicy::Barrier);
+    });
+    const auto& traces = rt.last_span_traces();
+    ASSERT_EQ(traces.size(), 8u);
+    for (std::size_t r = 0; r < traces.size(); ++r) {
+        double barrier_us = 0.0;
+        for (const hytrace::Span& s : traces[r].spans) {
+            const std::string name = s.name;
+            if (name == "ready_sync" || name == "release_sync" ||
+                name == "full_sync") {
+                barrier_us += s.t_end - s.t_start;
+            }
+        }
+        EXPECT_GT(traces[r].counters.sync_wait_us, 0.0) << "rank " << r;
+        EXPECT_DOUBLE_EQ(traces[r].counters.sync_wait_us, barrier_us)
+            << "rank " << r;
     }
 }
 

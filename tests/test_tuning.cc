@@ -4,11 +4,14 @@
 //    previous hardcoded (threshold) choice;
 //  - table lookup is deterministic and exact at grid points;
 //  - serialize/parse round-trips;
-//  - the checked-in baked tables exist and cover every tuned operation.
+//  - the checked-in baked tables exist and cover every tuned operation;
+//  - every tuner candidate wins at least one baked row.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,8 +27,8 @@ using tuning::Op;
 using tuning::Shape;
 using tuning::TuneConfig;
 
-const Op kAllOps[] = {Op::Allgather, Op::Allgatherv,      Op::Bcast,
-                      Op::Allreduce, Op::Barrier,         Op::BridgeExchange};
+const Op kAllOps[] = {Op::Allgather, Op::Allgatherv, Op::Bcast,
+                      Op::Allreduce, Op::BridgeExchange};
 
 /// The quick grid, shared by the tests so each profile is tuned once.
 const DecisionTable& quick_table(const minimpi::ModelParams& profile) {
@@ -71,7 +74,6 @@ std::vector<GridPoint> quick_grid() {
     sweep(Op::Bcast, Shape::Shm, cfg.shm_sizes, cfg.message_bytes, false);
     sweep(Op::Allreduce, Shape::Net, cfg.net_sizes, cfg.message_bytes, false);
     sweep(Op::Allreduce, Shape::Shm, cfg.shm_sizes, cfg.message_bytes, false);
-    sweep(Op::Barrier, Shape::Net, cfg.net_sizes, {0}, false);
     sweep(Op::BridgeExchange, Shape::Net, cfg.bridge_sizes,
           cfg.bridge_block_bytes, false);
     return pts;
@@ -174,7 +176,57 @@ TEST(DecisionTable, LookupIsExactAtGridPointsAndRoundsInLogSpace) {
     EXPECT_EQ(t.lookup(Op::Bcast, Shape::Net, 17, 1024)->segment_bytes,
               2048u);
     // Untuned (op, shape) pairs report "no entry".
-    EXPECT_FALSE(t.lookup(Op::Barrier, Shape::Net, 8, 0).has_value());
+    EXPECT_FALSE(t.lookup(Op::Allreduce, Shape::Net, 8, 0).has_value());
+}
+
+// A candidate no baked row picks is dead code in the tuner and in the
+// runtime dispatch. Every algorithm id the full sweep offers for an op must
+// win at least one row of the cray or openmpi table.
+TEST(DecisionTable, EveryCandidateWinsABakedRow) {
+    const TuneConfig cfg;
+    std::set<std::pair<std::string, std::string>> chosen;  // (op, algo)
+    for (const char* profile : {"cray", "openmpi"}) {
+        const DecisionTable* baked = tuning::find_table(profile);
+        ASSERT_NE(baked, nullptr) << profile;
+        std::istringstream rows(baked->serialize());
+        std::string line;
+        while (std::getline(rows, line)) {
+            std::istringstream ls(line);
+            std::string kw, op, shape, size, bytes, algo;
+            if (ls >> kw >> op >> shape >> size >> bytes >> algo &&
+                kw == "entry") {
+                chosen.emplace(op, algo);
+            }
+        }
+    }
+    auto merge = [](std::vector<int> a, const std::vector<int>& b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+    };
+    const std::vector<int> flat_sizes = merge(cfg.net_sizes, cfg.shm_sizes);
+    const std::pair<Op, std::vector<int>> swept[] = {
+        {Op::Allgather, flat_sizes},      {Op::Allgatherv, flat_sizes},
+        {Op::Bcast, flat_sizes},          {Op::Allreduce, flat_sizes},
+        {Op::BridgeExchange, cfg.bridge_sizes},
+        {Op::SocketStaging, cfg.shm_sizes},
+        {Op::ChunkSize, cfg.shm_sizes},   {Op::LocBruck, cfg.bridge_sizes},
+        {Op::BatchWindow, cfg.bridge_sizes},
+    };
+    static_assert(std::size(swept) == tuning::kNumOps);
+    for (const auto& [op, sizes] : swept) {
+        std::set<std::uint8_t> ids;
+        for (int s : sizes) {
+            for (const Choice& c : tuning::candidates(op, s, cfg)) {
+                ids.insert(c.algo);
+            }
+        }
+        for (std::uint8_t a : ids) {
+            EXPECT_TRUE(chosen.count({tuning::op_name(op),
+                                      tuning::algo_name(op, a)}))
+                << tuning::op_name(op) << " candidate "
+                << tuning::algo_name(op, a) << " wins no baked row";
+        }
+    }
 }
 
 TEST(DecisionTable, ParseRejectsMalformedInput) {
