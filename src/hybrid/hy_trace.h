@@ -11,8 +11,6 @@ namespace hympi {
 
 using minimpi::TraceSpan;
 
-#if HYMPI_TRACE_ENABLED
-
 /// Attributes the bytes_sent delta across its lifetime to the enclosing
 /// span and the rank's bridge_bytes counter. Scope exactly around a bridge
 /// exchange.
@@ -54,24 +52,6 @@ private:
     TraceSpan* span_;
     std::uint64_t before_;
 };
-
-#else
-
-class BridgeBytesScope {
-public:
-    BridgeBytesScope(minimpi::RankCtx&, TraceSpan&) {}
-    BridgeBytesScope(const BridgeBytesScope&) = delete;
-    BridgeBytesScope& operator=(const BridgeBytesScope&) = delete;
-};
-
-class ShmBytesScope {
-public:
-    ShmBytesScope(minimpi::RankCtx&, TraceSpan&) {}
-    ShmBytesScope(const ShmBytesScope&) = delete;
-    ShmBytesScope& operator=(const ShmBytesScope&) = delete;
-};
-
-#endif  // HYMPI_TRACE_ENABLED
 
 /// The Bridge-phase span of one leaders' exchange over @p bridge: name,
 /// algorithm and bridge shape, with the bytes sent inside it attributed by

@@ -35,8 +35,7 @@ bool HybridRound::boot(const NodeSharedBuffer& buf, bool flat_rung) {
     // use the window. Gated on an active injection plan — fault-free runs
     // send no agreement traffic.
     if (hc_->world().ctx().runtime->fault_plan().shm_fail_every > 0 &&
-        robust::agree_failure(hc_->world(), buf.alloc_failed(), gen(), *cfg_,
-                              stats_)) {
+        robust::agree_failure(hc_->world(), buf.alloc_failed(), gen())) {
         degrade();
         return true;
     }
@@ -68,7 +67,7 @@ void HybridRound::verdict(bool ok) {
     // Every bridge spans every node (leaders_per_node is clamped to the
     // smallest node), so a per-bridge agreement reaches every node via its
     // member leader; the failure word makes it node-visible.
-    if (robust::agree_failure(hc_->bridge(), !ok, gen(), *cfg_, stats_)) {
+    if (robust::agree_failure(hc_->bridge(), !ok, gen())) {
         fail_->fail_gen.store(gen());
     }
 }

@@ -35,6 +35,125 @@ void validate_buffer(const Comm& comm, const void* buf, std::size_t bytes) {
     }
 }
 
+/// Kill checkpoint + ULFM entry check of every user send and receive.
+/// Using a revoked comm fails immediately; a dead MEMBER does not block
+/// point-to-point between live peers (matching ULFM: only operations
+/// involving the failed process raise an error). Both checks are single
+/// relaxed/acquire loads on fault-free runs.
+void check_open(const Comm& comm, const char* op) {
+    detail::check_alive(comm.ctx());
+    if (comm.state().revoked.load(std::memory_order_acquire)) {
+        throw CommRevokedError();
+    }
+    if (comm.state().freed.load(std::memory_order_acquire)) {
+        throw CommError(std::string(op) + " on a freed communicator");
+    }
+}
+
+/// Matching context of user (p2p) or collective traffic on @p comm; an
+/// engine task's private context overrides the collective one.
+std::uint64_t match_ctx(const Comm& comm, bool coll_ctx) {
+    if (!coll_ctx) return comm.state().ctx_p2p;
+    const std::uint64_t over = comm.ctx().coll_ctx_override;
+    return over != 0 ? over : comm.state().ctx_coll;
+}
+
+/// The one send core: every point-to-point message is stamped, counted and
+/// delivered here. The caller fills the envelope (@p msg's ctx, tag, bytes,
+/// ack and robust_frame fields); this pays the send overhead, records the
+/// optional p2p span (@p span; null records none), updates CommStats,
+/// queues the bytes on the link and hands the message to the transport.
+///
+/// Clock invariant: all traffic charges vck() and queues on cur_busy.
+/// Frames (detail::send_frame) are only ever sent in owner context — robust
+/// rounds complete at post (HybridRound::start), so no frame is sent under
+/// an engine task — where vck() is ctx.clock and cur_busy points at
+/// ctx.link_busy_until, the objects the frame protocol reads directly.
+void post_send(RankCtx& ctx, int dst_world, const void* buf, InMsg msg,
+               const char* span) {
+    const LinkParams& link = ctx.link_to(dst_world);
+    const bool same_node = ctx.cluster->same_node(ctx.world_rank, dst_world);
+    const std::size_t bytes = msg.bytes;
+
+    const VTime t_send0 = ctx.vck().now();
+    ctx.vck().advance(link.overhead_us);
+    if (span != nullptr && trace_p2p(ctx)) {
+        hytrace::Span* s =
+            trace_complete(ctx, hytrace::Phase::P2P, span, t_send0);
+        s->peer = dst_world;
+        s->bytes = bytes;
+    }
+    ctx.stats.msgs_sent += 1;
+    ctx.stats.bytes_sent += bytes;
+    if (same_node) {
+        ctx.stats.intra_node_msgs += 1;
+        if (!ctx.cluster->same_socket(ctx.world_rank, dst_world)) {
+            ctx.stats.xsocket_bytes += bytes;
+            HYTRACE_COUNTER(ctx, xsocket_bytes, bytes);
+        }
+    } else {
+        ctx.stats.inter_node_msgs += 1;
+    }
+
+    // Bandwidth serialization: this message's bytes occupy the link after
+    // any still-draining earlier message to the same destination.
+    const VTime transfer = static_cast<VTime>(bytes) * link.beta_us_per_byte;
+    const bool side_band = msg.ctx < kFirstUserCtx;
+    VTime start = ctx.vck().now();
+    if (side_band) {
+        // Reserved contexts model a dedicated control side band: they
+        // neither queue behind nor occupy the data link. Sharing the link
+        // with data frames would couple the two directions of the robust
+        // serve loop through a wall-clock-ordered max, breaking clock
+        // determinism when a transfer's ctrl peer and data peer are the
+        // same rank.
+    } else if (ctx.tenant != nullptr && !same_node && !msg.robust_frame) {
+        // Multi-tenant run (ctx.tenant installed by src/service): inter-node
+        // traffic serializes through the rank's single NIC injection port
+        // via the QoS arbiter, which may discount queueing behind another
+        // tenant's backlog and attributes the bytes per tenant. max(): a
+        // weighted-QoS send may inject while the port still drains another
+        // tenant's backlog, but it must never ERASE that backlog — total
+        // occupancy always grows by the full transfer time.
+        start = detail::tenant_bridge_start(*ctx.tenant, start, bytes);
+        ctx.tenant->nic_busy = std::max(ctx.tenant->nic_busy, start) + transfer;
+    } else {
+        VTime& busy = (*ctx.cur_busy)[dst_world];
+        start = std::max(start, busy);
+        busy = start + transfer;
+    }
+
+    msg.src_global = ctx.world_rank;
+    msg.payload = ctx.runtime->transport().make_payload(buf, bytes);
+    msg.arrival = start + transfer + link.alpha_us;
+    msg.recv_overhead = link.overhead_us;
+    // The side band is fault-exempt and must not consume from the
+    // per-destination faultable stream either: ctrl frames are emitted
+    // from the full-duplex serve loop, whose order relative to data
+    // retransmissions to the SAME peer is a wall-clock race. Letting them
+    // advance the counter would make the data frames' fault_seq — and so
+    // the injected fault pattern — nondeterministic.
+    msg.fault_seq = side_band ? 0 : ctx.fault_seq[dst_world]++;
+    ctx.runtime->transport().deliver(dst_world, std::move(msg));
+}
+
+/// The one receive charge of a completed receive: adopt the modelled
+/// arrival, pay the receive overhead, record the optional p2p span and
+/// count the message. Callers handle the outcome (truncation, drop).
+void charge_recv(RankCtx& ctx, const PostedRecv& pr, const char* span) {
+    const VTime t_recv0 = ctx.vck().now();
+    ctx.vck().sync_to(pr.arrival);
+    ctx.vck().advance(pr.recv_overhead);
+    if (trace_p2p(ctx)) {
+        hytrace::Span* s =
+            trace_complete(ctx, hytrace::Phase::P2P, span, t_recv0);
+        s->peer = pr.matched_src;
+        s->bytes = pr.msg_bytes;
+    }
+    ctx.stats.msgs_received += 1;
+    ctx.stats.bytes_received += pr.msg_bytes;
+}
+
 /// Block until @p pr completes (detail::block_until: yields under an engine
 /// task, drives outstanding requests in owner context, parks otherwise).
 void wait_recv(RankCtx& ctx, PostedRecv* pr) {
@@ -74,115 +193,25 @@ VTime tenant_bridge_start(TenantState& ts, VTime now, std::size_t bytes) {
 void send_bytes(const Comm& comm, const void* buf, std::size_t bytes, int dest,
                 int tag, bool coll_ctx) {
     if (dest == kProcNull) return;
-    RankCtx& ctx = comm.ctx();
-    // Kill checkpoint + ULFM entry check. Sending on a revoked comm fails
-    // immediately; a dead MEMBER does not block point-to-point between live
-    // peers (matching ULFM: only operations involving the failed process
-    // raise an error). Both checks are single relaxed/acquire loads on
-    // fault-free runs.
-    check_alive(ctx);
-    if (comm.state().revoked.load(std::memory_order_acquire)) {
-        throw CommRevokedError();
-    }
-    if (comm.state().freed.load(std::memory_order_acquire)) {
-        throw CommError("send on a freed communicator");
-    }
-    const int dst_world = comm.to_world(dest);
-    const LinkParams& link = ctx.link_to(dst_world);
-
-    const VTime t_send0 = ctx.vck().now();
-    ctx.vck().advance(link.overhead_us);
-    if (trace_p2p(ctx)) {
-        hytrace::Span* s =
-            trace_complete(ctx, hytrace::Phase::P2P, "send", t_send0);
-        s->peer = dst_world;
-        s->bytes = bytes;
-    }
-    ctx.stats.msgs_sent += 1;
-    ctx.stats.bytes_sent += bytes;
-    if (ctx.cluster->same_node(ctx.world_rank, dst_world)) {
-        ctx.stats.intra_node_msgs += 1;
-        if (!ctx.cluster->same_socket(ctx.world_rank, dst_world)) {
-            ctx.stats.xsocket_bytes += bytes;
-            HYTRACE_COUNTER(ctx, xsocket_bytes, bytes);
-        }
-    } else {
-        ctx.stats.inter_node_msgs += 1;
-    }
-
-    // Bandwidth serialization: this message's bytes occupy the link after
-    // any still-draining earlier message to the same destination. Under a
-    // multi-tenant run (ctx.tenant installed by src/service) inter-node
-    // traffic instead serializes through the rank's single NIC injection
-    // port via the QoS arbiter, which may discount queueing behind another
-    // tenant's backlog and attributes the bytes per tenant.
-    const VTime transfer = static_cast<VTime>(bytes) * link.beta_us_per_byte;
-    VTime start;
-    if (ctx.tenant != nullptr &&
-        !ctx.cluster->same_node(ctx.world_rank, dst_world)) {
-        start = tenant_bridge_start(*ctx.tenant, ctx.vck().now(), bytes);
-        // max(): a weighted-QoS send may inject while the port still drains
-        // another tenant's backlog, but it must never ERASE that backlog —
-        // total occupancy always grows by the full transfer time.
-        ctx.tenant->nic_busy = std::max(ctx.tenant->nic_busy, start) + transfer;
-    } else {
-        VTime& busy = (*ctx.cur_busy)[dst_world];
-        start = std::max(ctx.vck().now(), busy);
-        busy = start + transfer;
-    }
-
+    check_open(comm, "send");
     InMsg msg;
-    msg.ctx = coll_ctx ? (ctx.coll_ctx_override != 0 ? ctx.coll_ctx_override
-                                                     : comm.state().ctx_coll)
-                       : comm.state().ctx_p2p;
-    msg.src_global = ctx.world_rank;
+    msg.ctx = match_ctx(comm, coll_ctx);
     msg.tag = tag;
     msg.bytes = bytes;
-    msg.payload = ctx.runtime->transport().make_payload(buf, bytes);
-    msg.arrival = start + transfer + link.alpha_us;
-    msg.recv_overhead = link.overhead_us;
-    msg.fault_seq = ctx.fault_seq[dst_world]++;
-    ctx.runtime->transport().deliver(dst_world, std::move(msg));
+    post_send(comm.ctx(), comm.to_world(dest), buf, std::move(msg), "send");
 }
 
 Request irecv_bytes(const Comm& comm, void* buf, std::size_t bytes, int source,
                     int tag, bool coll_ctx) {
-    RankCtx& ctx = comm.ctx();
-    check_alive(ctx);
-    if (comm.state().revoked.load(std::memory_order_acquire)) {
-        throw CommRevokedError();
-    }
-    if (comm.state().freed.load(std::memory_order_acquire)) {
-        throw CommError("receive on a freed communicator");
-    }
-    auto posted = std::make_unique<PostedRecv>();
-    posted->ctx = coll_ctx
-                      ? (ctx.coll_ctx_override != 0 ? ctx.coll_ctx_override
-                                                    : comm.state().ctx_coll)
-                      : comm.state().ctx_p2p;
-    posted->src_global =
-        (source == kAnySource) ? kAnySource : comm.to_world(source);
-    posted->tag = tag;
-    posted->buf = buf;
-    posted->capacity = bytes;
-    posted->post_vtime = ctx.vck().now();
-    ctx.runtime->transport().post_recv(ctx.world_rank, posted.get());
-    return Request::make_recv(comm, std::move(posted));
+    check_open(comm, "receive");
+    return irecv_bytes_ctx(comm, buf, bytes, source, tag,
+                           match_ctx(comm, coll_ctx));
 }
 
 Request irecv_bytes_ctx(const Comm& comm, void* buf, std::size_t bytes,
                         int source, int tag, std::uint64_t ctx_id) {
-    RankCtx& ctx = comm.ctx();
-    check_alive(ctx);
     auto posted = std::make_unique<PostedRecv>();
-    posted->ctx = ctx_id;
-    posted->src_global =
-        (source == kAnySource) ? kAnySource : comm.to_world(source);
-    posted->tag = tag;
-    posted->buf = buf;
-    posted->capacity = bytes;
-    posted->post_vtime = ctx.vck().now();
-    ctx.runtime->transport().post_recv(ctx.world_rank, posted.get());
+    post_frame_recv(comm, posted.get(), buf, bytes, source, tag, ctx_id);
     return Request::make_recv(comm, std::move(posted));
 }
 
@@ -201,65 +230,17 @@ Request isend_bytes(const Comm& comm, const void* buf, std::size_t bytes,
 void send_frame(const Comm& comm, const void* buf, std::size_t bytes, int dest,
                 int tag, std::uint64_t ctx_id, bool robust_frame) {
     if (dest == kProcNull) return;
-    RankCtx& ctx = comm.ctx();
     // Kill checkpoint only — no revoked-comm check: frames carry the robust
     // ARQ, including the recovery confirmation leg, which must keep flowing
     // on comms adjacent to a revocation.
-    check_alive(ctx);
-    const int dst_world = comm.to_world(dest);
-    const LinkParams& link = ctx.link_to(dst_world);
-
-    const VTime t_send0 = ctx.clock.now();
-    ctx.clock.advance(link.overhead_us);
-    if (trace_p2p(ctx)) {
-        hytrace::Span* s =
-            trace_complete(ctx, hytrace::Phase::P2P, "send_frame", t_send0);
-        s->peer = dst_world;
-        s->bytes = bytes;
-    }
-    ctx.stats.msgs_sent += 1;
-    ctx.stats.bytes_sent += bytes;
-    if (ctx.cluster->same_node(ctx.world_rank, dst_world)) {
-        ctx.stats.intra_node_msgs += 1;
-        if (!ctx.cluster->same_socket(ctx.world_rank, dst_world)) {
-            ctx.stats.xsocket_bytes += bytes;
-            HYTRACE_COUNTER(ctx, xsocket_bytes, bytes);
-        }
-    } else {
-        ctx.stats.inter_node_msgs += 1;
-    }
-
-    const VTime transfer = static_cast<VTime>(bytes) * link.beta_us_per_byte;
-    // Reserved contexts model a dedicated control side band: they neither
-    // queue behind nor occupy the data link. Sharing link_busy_until with
-    // data frames would couple the two directions of the robust serve loop
-    // through a wall-clock-ordered max, breaking clock determinism when a
-    // transfer's ctrl peer and data peer are the same rank.
-    VTime start = ctx.clock.now();
-    if (ctx_id >= kFirstUserCtx) {
-        VTime& busy = ctx.link_busy_until[dst_world];
-        start = std::max(start, busy);
-        busy = start + transfer;
-    }
-
+    check_alive(comm.ctx());
     InMsg msg;
     msg.ctx = ctx_id;
-    msg.src_global = ctx.world_rank;
     msg.tag = tag;
     msg.bytes = bytes;
-    msg.payload = ctx.runtime->transport().make_payload(buf, bytes);
-    msg.arrival = start + transfer + link.alpha_us;
-    msg.recv_overhead = link.overhead_us;
-    // Reserved contexts (the robust ctrl side band) are fault-exempt and
-    // must not consume from the per-destination faultable stream either:
-    // ctrl frames are emitted from the full-duplex serve loop, whose order
-    // relative to data retransmissions to the SAME peer is a wall-clock
-    // race. Letting them advance the counter would make the data frames'
-    // fault_seq — and so the injected fault pattern — nondeterministic.
-    msg.fault_seq =
-        ctx_id >= kFirstUserCtx ? ctx.fault_seq[dst_world]++ : 0;
     msg.robust_frame = robust_frame;
-    ctx.runtime->transport().deliver(dst_world, std::move(msg));
+    post_send(comm.ctx(), comm.to_world(dest), buf, std::move(msg),
+              "send_frame");
 }
 
 void post_frame_recv(const Comm& comm, PostedRecv* pr, void* buf,
@@ -274,23 +255,12 @@ void post_frame_recv(const Comm& comm, PostedRecv* pr, void* buf,
     pr->tag = tag;
     pr->buf = buf;
     pr->capacity = bytes;
-    pr->post_vtime = ctx.clock.now();
+    pr->post_vtime = ctx.vck().now();
     ctx.runtime->transport().post_recv(ctx.world_rank, pr);
 }
 
 FrameRecvResult finish_frame_recv(const Comm& comm, PostedRecv& pr) {
-    RankCtx& ctx = comm.ctx();
-    const VTime t_recv0 = ctx.clock.now();
-    ctx.clock.sync_to(pr.arrival);
-    ctx.clock.advance(pr.recv_overhead);
-    if (trace_p2p(ctx)) {
-        hytrace::Span* s =
-            trace_complete(ctx, hytrace::Phase::P2P, "recv_frame", t_recv0);
-        s->peer = pr.matched_src;
-        s->bytes = pr.msg_bytes;
-    }
-    ctx.stats.msgs_received += 1;
-    ctx.stats.bytes_received += pr.msg_bytes;
+    charge_recv(comm.ctx(), pr, "recv_frame");
     FrameRecvResult res;
     res.bytes = pr.msg_bytes;
     res.src = comm.from_world(pr.matched_src);
@@ -317,45 +287,25 @@ void ssend(const Comm& comm, const void* buf, std::size_t count, Datatype dt,
     const std::size_t bytes = count * datatype_size(dt);
     validate_buffer(comm, buf, bytes);
     if (dest == kProcNull) return;
+    check_open(comm, "send");
 
     RankCtx& ctx = comm.ctx();
-    detail::check_alive(ctx);
-    if (comm.state().revoked.load(std::memory_order_acquire)) {
-        throw CommRevokedError();
-    }
     const int dst_world = comm.to_world(dest);
-    const LinkParams& link = ctx.link_to(dst_world);
-
     const VTime t_ssend0 = ctx.vck().now();
-    ctx.vck().advance(link.overhead_us);
-    const VTime transfer = static_cast<VTime>(bytes) * link.beta_us_per_byte;
-    VTime& busy = (*ctx.cur_busy)[dst_world];
-    const VTime start = std::max(ctx.vck().now(), busy);
-    busy = start + transfer;
-
     const int ack_tag = static_cast<int>(ctx.ssend_seq++);
     InMsg msg;
     msg.ctx = comm.state().ctx_p2p;
-    msg.src_global = ctx.world_rank;
     msg.tag = tag;
     msg.bytes = bytes;
-    msg.payload = ctx.runtime->transport().make_payload(buf, bytes);
-    msg.arrival = start + transfer + link.alpha_us;
-    msg.recv_overhead = link.overhead_us;
     msg.ack_to = ctx.world_rank;
     msg.ack_tag = ack_tag;
-    msg.ack_alpha = link.alpha_us;
-    msg.fault_seq = ctx.fault_seq[dst_world]++;
-    ctx.runtime->transport().deliver(dst_world, std::move(msg));
+    msg.ack_alpha = ctx.link_to(dst_world).alpha_us;
+    post_send(ctx, dst_world, buf, std::move(msg), nullptr);
 
     // MPI_Ssend completes only once the matching receive has started: wait
     // for the acknowledgement and adopt its modelled arrival.
     PostedRecv ack;
-    ack.ctx = kAckCtx;
-    ack.src_global = dst_world;
-    ack.tag = ack_tag;
-    ack.post_vtime = ctx.vck().now();
-    ctx.runtime->transport().post_recv(ctx.world_rank, &ack);
+    detail::post_frame_recv(comm, &ack, nullptr, 0, dest, ack_tag, kAckCtx);
     wait_recv(ctx, &ack);
     ctx.vck().sync_to(ack.arrival);
     if (trace_p2p(ctx)) {
@@ -477,17 +427,7 @@ Request Request::make_recv(const Comm& comm, std::unique_ptr<PostedRecv> pr) {
 
 Status Request::finish_recv() {
     PostedRecv& pr = *recv_;
-    const VTime t_recv0 = ctx_->vck().now();
-    ctx_->vck().sync_to(pr.arrival);
-    ctx_->vck().advance(pr.recv_overhead);
-    if (trace_p2p(*ctx_)) {
-        hytrace::Span* s =
-            trace_complete(*ctx_, hytrace::Phase::P2P, "recv", t_recv0);
-        s->peer = pr.matched_src;
-        s->bytes = pr.msg_bytes;
-    }
-    ctx_->stats.msgs_received += 1;
-    ctx_->stats.bytes_received += pr.msg_bytes;
+    charge_recv(*ctx_, pr, "recv");
     if (pr.truncated) {
         const auto msg_bytes = pr.msg_bytes;
         const auto cap = pr.capacity;

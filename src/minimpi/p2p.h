@@ -94,7 +94,9 @@ void send_frame(const Comm& comm, const void* buf, std::size_t bytes, int dest,
                 int tag, std::uint64_t ctx_id, bool robust_frame);
 
 /// Post a frame receive on an explicit matching context. @p pr must outlive
-/// the match (stack- or member-owned by the robust protocol state).
+/// the match (stack- or member-owned by the robust protocol state). This is
+/// the p2p layer's one receive post: irecv_bytes_ctx and ssend's
+/// acknowledgement go through it too.
 void post_frame_recv(const Comm& comm, PostedRecv* pr, void* buf,
                      std::size_t bytes, int source, int tag,
                      std::uint64_t ctx_id);

@@ -159,11 +159,9 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
 
     // Span recording is on when the caller asked (RunOptions::spans) or
     // process-wide via HYMPI_TRACE; the sink only receives runs in the
-    // latter case. With HYMPI_TRACING=OFF every recording site is compiled
-    // out, so recorders would stay empty — skip them entirely.
+    // latter case.
     hytrace::TraceSink& sink = hytrace::TraceSink::instance();
-    const bool span_trace =
-        HYMPI_TRACE_ENABLED && (opts_.spans || sink.enabled());
+    const bool span_trace = opts_.spans || sink.enabled();
     const bool span_p2p = opts_.span_p2p || sink.p2p();
     std::vector<hytrace::Recorder> recorders;
     if (span_trace) {

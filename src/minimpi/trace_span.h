@@ -7,12 +7,9 @@
 #include "trace/recorder.h"
 
 /// RAII bridge between rank code and the hytrace recorder. All recording
-/// sites in minimpi/hybrid/robust go through this header so that
-/// -DHYMPI_TRACING=OFF compiles every one of them out; with tracing
-/// compiled in but off at runtime, each site costs one null-pointer test.
+/// sites in minimpi/hybrid/robust go through this header; with tracing off
+/// at runtime, each site costs one null-pointer test.
 namespace minimpi {
-
-#if HYMPI_TRACE_ENABLED
 
 /// Opens a span on construction (at the rank's current virtual time) and
 /// closes it on destruction. Scope it exactly around the interval being
@@ -97,38 +94,5 @@ inline hytrace::Span* trace_instant(RankCtx& ctx, hytrace::Phase phase,
                 static_cast<decltype((ctx).spans->counters().field)>(delta); \
         }                                                           \
     } while (0)
-
-#else  // !HYMPI_TRACE_ENABLED — every site compiles to nothing.
-
-class TraceSpan {
-public:
-    TraceSpan(RankCtx&, hytrace::Phase, const char*) {}
-    TraceSpan(const TraceSpan&) = delete;
-    TraceSpan& operator=(const TraceSpan&) = delete;
-    bool active() const { return false; }
-    void set_coll(const char*) {}
-    void set_algo(const char*) {}
-    void set_bytes(std::uint64_t) {}
-    void add_bytes(std::uint64_t) {}
-    void set_peer(int) {}
-    void set_chunks(std::uint64_t) {}
-    void set_comm(int, int) {}
-};
-
-inline bool trace_p2p(const RankCtx&) { return false; }
-inline hytrace::Span* trace_complete(RankCtx&, hytrace::Phase, const char*,
-                                     VTime) {
-    return nullptr;
-}
-inline hytrace::Span* trace_instant(RankCtx&, hytrace::Phase, const char*) {
-    return nullptr;
-}
-
-#define HYTRACE_COUNTER(ctx, field, delta) \
-    do {                                   \
-        (void)sizeof(ctx);                 \
-    } while (0)
-
-#endif  // HYMPI_TRACE_ENABLED
 
 }  // namespace minimpi

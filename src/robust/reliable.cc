@@ -59,6 +59,11 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
     RankCtx& ctx = comm.ctx();
     minimpi::Transport& tp = ctx.runtime->transport();
     RobustStats& agg = ctx.robust_stats;
+    // Every counter is kept per channel (@p st) and per rank (agg).
+    const auto count = [&](std::uint64_t RobustStats::*field) {
+        st.*field += 1;
+        agg.*field += 1;
+    };
     const bool real = ctx.payload_mode == minimpi::PayloadMode::Real;
     const int data_tag = make_tag(op_tag, FrameKind::Data, gen);
     // A receiver NACKs at most retry_max times before FAILing, so stale
@@ -72,6 +77,11 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
     int attempt = 1;
     std::vector<std::byte> sframe;
     PostedRecv ctrl_pr;
+    const auto post_ctrl = [&] {
+        minimpi::detail::post_frame_recv(comm, &ctrl_pr, nullptr, 0, dest,
+                                         minimpi::kAnyTag,
+                                         minimpi::kRobustCtrlCtx);
+    };
     if (sending) {
         sframe.resize(sizeof(FrameHeader) + sbytes);
         FrameHeader h;
@@ -94,9 +104,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
         }
         minimpi::detail::send_frame(comm, sframe.data(), sframe.size(), dest,
                                     data_tag, comm.state().ctx_coll, true);
-        minimpi::detail::post_frame_recv(comm, &ctrl_pr, nullptr, 0, dest,
-                                         minimpi::kAnyTag,
-                                         minimpi::kRobustCtrlCtx);
+        post_ctrl();
     }
 
     // --- receiving direction -----------------------------------------------
@@ -108,11 +116,14 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
     int stale_ctrl = 0;
     std::vector<std::byte> rframe;
     PostedRecv data_pr;
-    if (receiving) {
-        rframe.resize(sizeof(FrameHeader) + rbytes);
+    const auto post_data = [&] {
         minimpi::detail::post_frame_recv(comm, &data_pr, rframe.data(),
                                          rframe.size(), src, data_tag,
                                          comm.state().ctx_coll);
+    };
+    if (receiving) {
+        rframe.resize(sizeof(FrameHeader) + rbytes);
+        post_data();
     }
 
     // Full-duplex progress loop: serve whichever side completes first. This
@@ -162,8 +173,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
             if (r.dropped) {
                 // Watchdog: the loss surfaces as a typed timeout here, and
                 // the detection deadline is charged in virtual time.
-                st.timeouts += 1;
-                agg.timeouts += 1;
+                count(&RobustStats::timeouts);
                 minimpi::trace_instant(ctx, hytrace::Phase::Robust, "timeout");
                 ctx.clock.advance(cfg.watchdog_us);
                 bad = true;
@@ -194,23 +204,17 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                     }
                 }
                 if (bad) {
-                    st.checksum_failures += 1;
-                    agg.checksum_failures += 1;
+                    count(&RobustStats::checksum_failures);
                 }
             }
             if (stale) {
-                st.stale_discards += 1;
-                agg.stale_discards += 1;
+                count(&RobustStats::stale_discards);
                 if (++stale_data > stale_cap) {
                     send_ctrl(comm, src, op_tag, FrameKind::Fail, gen);
                     recv_done = true;
                     recv_ok = false;
                 } else {
-                    minimpi::detail::post_frame_recv(comm, &data_pr,
-                                                     rframe.data(),
-                                                     rframe.size(), src,
-                                                     data_tag,
-                                                     comm.state().ctx_coll);
+                    post_data();
                 }
             } else if (bad) {
                 if (nacks >= cfg.retry_max) {
@@ -220,11 +224,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                 } else {
                     ++nacks;
                     send_ctrl(comm, src, op_tag, FrameKind::Nack, gen);
-                    minimpi::detail::post_frame_recv(comm, &data_pr,
-                                                     rframe.data(),
-                                                     rframe.size(), src,
-                                                     data_tag,
-                                                     comm.state().ctx_coll);
+                    post_data();
                 }
             } else {
                 ctx.copy_bytes(rbuf, rframe.data() + sizeof(FrameHeader),
@@ -233,8 +233,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                 recv_done = true;
                 recv_ok = true;
                 if (nacks > 0) {
-                    st.recoveries += 1;
-                    agg.recoveries += 1;
+                    count(&RobustStats::recoveries);
                 }
             }
         } else {
@@ -242,22 +241,18 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
             const FrameKind k = kind_of_tag(r.tag);
             if (op_of_tag(r.tag) != (op_tag & 0xFFF) ||
                 gen_nibble_of_tag(r.tag) != static_cast<int>(gen & 0xF)) {
-                st.stale_discards += 1;
-                agg.stale_discards += 1;
+                count(&RobustStats::stale_discards);
                 if (++stale_ctrl > stale_cap) {
                     send_done = true;
                     send_ok = false;
                 } else {
-                    minimpi::detail::post_frame_recv(
-                        comm, &ctrl_pr, nullptr, 0, dest, minimpi::kAnyTag,
-                        minimpi::kRobustCtrlCtx);
+                    post_ctrl();
                 }
             } else if (k == FrameKind::Ack) {
                 send_done = true;
                 send_ok = true;
                 if (attempt > 1) {
-                    st.recoveries += 1;
-                    agg.recoveries += 1;
+                    count(&RobustStats::recoveries);
                 }
             } else if (k == FrameKind::Fail) {
                 send_done = true;
@@ -267,8 +262,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                     send_done = true;
                     send_ok = false;
                 } else {
-                    st.retries += 1;
-                    agg.retries += 1;
+                    count(&RobustStats::retries);
                     minimpi::trace_instant(ctx, hytrace::Phase::Robust,
                                            "retransmit");
                     HYTRACE_COUNTER(ctx, retransmits, 1);
@@ -288,9 +282,7 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                     minimpi::detail::send_frame(comm, sframe.data(),
                                                 sframe.size(), dest, data_tag,
                                                 comm.state().ctx_coll, true);
-                    minimpi::detail::post_frame_recv(
-                        comm, &ctrl_pr, nullptr, 0, dest, minimpi::kAnyTag,
-                        minimpi::kRobustCtrlCtx);
+                    post_ctrl();
                 }
             }
         }
@@ -300,10 +292,8 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
     return send_ok && recv_ok;
 }
 
-bool agree_failure(const minimpi::Comm& comm, bool my_fail, std::uint64_t gen,
-                   const RobustConfig& cfg, RobustStats& st) {
-    (void)cfg;
-    (void)st;
+bool agree_failure(const minimpi::Comm& comm, bool my_fail,
+                   std::uint64_t gen) {
     RankCtx& ctx = comm.ctx();
     minimpi::Transport& tp = ctx.runtime->transport();
     const int n = comm.size();

@@ -94,9 +94,10 @@ inline bool reliable_recv(const minimpi::Comm& comm, void* buf,
 /// OR of every rank's @p my_fail bit, computed with a deterministic linear
 /// gather + broadcast of zero-byte control frames on the reliable side
 /// channel. All ranks observe the same verdict, so the degradation ladder
-/// flips consistently everywhere or nowhere.
-bool agree_failure(const minimpi::Comm& comm, bool my_fail, std::uint64_t gen,
-                   const RobustConfig& cfg, RobustStats& st);
+/// flips consistently everywhere or nowhere. The side channel never drops a
+/// frame, so the agreement needs no retry budget and records no counters.
+bool agree_failure(const minimpi::Comm& comm, bool my_fail,
+                   std::uint64_t gen);
 
 /// Allocate this rank's next robust channel uid on @p comm: a per-member
 /// counter on the communicator (CommState::member_chan_seq), so every

@@ -4,13 +4,6 @@
 
 #include "trace/span.h"
 
-/// Compile-out switch: -DHYMPI_TRACE_ENABLED=0 (CMake -DHYMPI_TRACING=OFF)
-/// removes every recording site from the binary; the default leaves them in
-/// as a single null-pointer branch when tracing is off at runtime.
-#ifndef HYMPI_TRACE_ENABLED
-#define HYMPI_TRACE_ENABLED 1
-#endif
-
 namespace hytrace {
 
 /// Per-rank span/counter recorder. Exactly one thread (the owning rank's)

@@ -388,3 +388,15 @@ TEST(P2P, SsendOrderingWithRegularSends) {
         }
     });
 }
+
+TEST(P2P, SsendOnFreedCommThrowsLikeSend) {
+    Runtime rt = make_rt(1, 2);
+    rt.run([](Comm& world) {
+        Comm c = world.split(0);
+        c.free();
+        int v = 1;
+        const int peer = (c.rank() + 1) % c.size();
+        EXPECT_THROW(send(c, &v, 1, Datatype::Int32, peer, 0), CommError);
+        EXPECT_THROW(ssend(c, &v, 1, Datatype::Int32, peer, 0), CommError);
+    });
+}
