@@ -50,6 +50,8 @@ int main() {
                         {"naive intra-msgs", "hy intra-msgs",
                          "naive inter-msgs", "hy inter-msgs",
                          "naive MB copied", "hy MB copied"});
+    int rows = 0, hy_msg_rows = 0, hy_copy_rows = 0;
+    int inter_fewer = 0, inter_equal = 0, inter_more = 0;
     for (int ppn = 3; ppn <= 24; ppn *= 2) {
         const CommStats n = measure(8, ppn, 4096, false);
         const CommStats h = measure(8, ppn, 4096, true);
@@ -60,15 +62,26 @@ int main() {
                        static_cast<double>(h.inter_node_msgs),
                        static_cast<double>(n.memcpy_bytes) / 1.0e6,
                        static_cast<double>(h.memcpy_bytes) / 1.0e6});
+        ++rows;
+        if (h.intra_node_msgs > 0) ++hy_msg_rows;
+        if (h.memcpy_bytes > 0) ++hy_copy_rows;
+        if (h.inter_node_msgs < n.inter_node_msgs) {
+            ++inter_fewer;
+        } else if (h.inter_node_msgs == n.inter_node_msgs) {
+            ++inter_equal;
+        } else {
+            ++inter_more;
+        }
     }
     table.print(
         "Message/copy counts per allgather (totals across all ranks)");
-    std::printf(
-        "\nNote: the hybrid scheme's on-node traffic is ZERO — its\n"
-        "synchronization is the tuned counter barrier (no messages), and\n"
-        "the gathered data is never copied on node. The naive scheme\n"
-        "aggregates, exchanges AND re-broadcasts every byte within each\n"
-        "node. Inter-node transfer counts are identical: both move the\n"
-        "same data across the network.\n");
+
+    // The note restates only what the rows above show.
+    std::printf("\nNote: the hybrid scheme sends on-node messages on %d and "
+                "copies on node on %d of %d rows.\n",
+                hy_msg_rows, hy_copy_rows, rows);
+    std::printf("Inter-node messages, hybrid against naive: fewer on %d, "
+                "equal on %d, more on %d of %d rows.\n",
+                inter_fewer, inter_equal, inter_more, rows);
     return 0;
 }

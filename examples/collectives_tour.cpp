@@ -1,8 +1,9 @@
 // A tour of every hybrid collective the library offers beyond the paper's
 // two worked examples: allreduce, gather, scatter, reduce and alltoall —
-// each with ONE node-shared buffer instead of per-process copies — plus
-// the prefix/reduce-scatter operations of the underlying runtime.
+// each with ONE node-shared buffer instead of per-process copies. Every
+// rank checks the results it holds; any mismatch fails the program.
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -14,7 +15,8 @@ using namespace hympi;
 
 int main() {
     Runtime rt(ClusterSpec::irregular({3, 2, 3}), ModelParams::cray());
-    rt.run([](Comm& world) {
+    std::atomic<bool> ok{true};
+    rt.run([&ok](Comm& world) {
         const int r = world.rank();
         const int p = world.size();
         HierComm hc(world);
@@ -52,37 +54,43 @@ int main() {
         }
         a2a.run();
 
-        // Runtime-level prefix ops for good measure.
-        std::int64_t mine = r + 1, incl = 0;
-        scan(world, &mine, &incl, 1, Datatype::Int64, Op::Sum);
-
+        const double want_sum = p * (p - 1) / 2.0;
+        const int got_scatter = *reinterpret_cast<const int*>(s.my_block());
+        const int got_a2a =
+            *reinterpret_cast<const int*>(a2a.recv_block(p - 1));
+        if (sum[0] != want_sum || got_scatter != 100 + r ||
+            got_a2a != (p - 1) * 100 + r) {
+            ok = false;
+        }
         if (r == 0 || r == p - 1) {
             std::printf("rank %d (node %d):\n", r, hc.my_node());
             std::printf("  allreduce sum[0]   = %.1f (want %.1f)\n", sum[0],
-                        p * (p - 1) / 2.0);
-            std::printf("  scatter received   = %d (want %d)\n",
-                        *reinterpret_cast<const int*>(s.my_block()), 100 + r);
-            std::printf("  alltoall from last = %d (want %d)\n",
-                        *reinterpret_cast<const int*>(a2a.recv_block(p - 1)),
+                        want_sum);
+            std::printf("  scatter received   = %d (want %d)\n", got_scatter,
+                        100 + r);
+            std::printf("  alltoall from last = %d (want %d)\n", got_a2a,
                         (p - 1) * 100 + r);
-            std::printf("  inclusive scan     = %lld (want %d)\n",
-                        static_cast<long long>(incl),
-                        (r + 1) * (r + 2) / 2);
         }
         if (r == p - 1) {
-            int total = 0;
+            int total = 0, want_total = 0;
             for (int i = 0; i < p; ++i) {
                 total += *reinterpret_cast<const int*>(g.gathered(i));
+                want_total += i * i;
             }
-            std::printf("  gathered sum of squares = %d\n", total);
+            std::printf("  gathered sum of squares = %d (want %d)\n", total,
+                        want_total);
+            if (total != want_total) ok = false;
         }
         if (r == 1) {
-            std::printf("  rank 1 reduce BitOr = 0x%llx (want 0x%llx)\n",
-                        static_cast<unsigned long long>(
-                            *reinterpret_cast<const std::int64_t*>(red.result())),
-                        (1ULL << p) - 1);
+            const auto got = static_cast<unsigned long long>(
+                *reinterpret_cast<const std::int64_t*>(red.result()));
+            const unsigned long long want = (1ULL << p) - 1;
+            std::printf("  rank 1 reduce BitOr = 0x%llx (want 0x%llx)\n", got,
+                        want);
+            if (got != want) ok = false;
         }
         barrier(world);
     });
-    return 0;
+    std::printf("collectives tour: %s\n", ok ? "all results match" : "MISMATCH");
+    return ok ? 0 : 1;
 }

@@ -1,8 +1,9 @@
 // SUMMA demo (paper Sect. 5.2.1): distributed dense matrix multiplication
 // on a 2-node x 8-core simulated cluster (4x4 process grid), run twice —
 // with the naive pure-MPI broadcast (Ori_SUMMA) and with the hybrid
-// MPI+MPI broadcast (Hy_SUMMA). Verifies both against a serial product and
-// reports the modelled execution times and their ratio.
+// MPI+MPI broadcast (Hy_SUMMA). Verifies both against a serial product
+// (either one off by 1e-9 or more fails the program) and reports the
+// modelled execution times and their ratio.
 
 #include <cmath>
 #include <cstdio>
@@ -41,6 +42,7 @@ int main() {
     const linalg::Matrix want = linalg::gemm(a, b);
 
     double time_us[2] = {0, 0};
+    bool ok = true;
     for (Backend backend : {Backend::PureMpi, Backend::Hybrid}) {
         Runtime rt(ClusterSpec::regular(2, 8), ModelParams::cray());
         benchu::Collector col;
@@ -64,6 +66,7 @@ int main() {
                             backend == Backend::PureMpi ? "Ori_SUMMA"
                                                         : "Hy_SUMMA",
                             n, n, err);
+                if (!(err < 1e-9)) ok = false;
             }
             barrier(world);
         });
@@ -72,5 +75,5 @@ int main() {
 
     std::printf("modelled time: Ori = %.1f us, Hy = %.1f us, ratio = %.2f\n",
                 time_us[0], time_us[1], time_us[0] / time_us[1]);
-    return 0;
+    return ok ? 0 : 1;
 }

@@ -68,21 +68,6 @@ void allreduce(const Comm& comm, const void* sendbuf, void* recvbuf,
 void alltoall(const Comm& comm, const void* sendbuf, std::size_t count,
               void* recvbuf, Datatype dt);
 
-/// Inclusive prefix reduction (MPI_Scan): rank r receives
-/// op(rank 0, ..., rank r).
-void scan(const Comm& comm, const void* sendbuf, void* recvbuf,
-          std::size_t count, Datatype dt, Op op);
-
-/// Exclusive prefix reduction (MPI_Exscan): rank r receives
-/// op(rank 0, ..., rank r-1); rank 0's recvbuf is left untouched.
-void exscan(const Comm& comm, const void* sendbuf, void* recvbuf,
-            std::size_t count, Datatype dt, Op op);
-
-/// MPI_Reduce_scatter_block: elementwise reduction of p equal blocks, block
-/// r delivered to rank r.
-void reduce_scatter_block(const Comm& comm, const void* sendbuf, void* recvbuf,
-                          std::size_t count_per_rank, Datatype dt, Op op);
-
 namespace detail {
 
 /// Apply @p op elementwise: inout[i] = op(inout[i], in[i]). Charges one flop

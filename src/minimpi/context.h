@@ -172,9 +172,6 @@ struct RankCtx {
     /// hybrid channels). Only the owning rank thread touches this map.
     std::unordered_map<const void*, std::shared_ptr<void>> comm_caches;
 
-    /// Monotone sequence for synchronous-send acknowledgement tags.
-    std::uint64_t ssend_seq = 0;
-
     /// Per-destination link occupancy (store-and-forward bandwidth
     /// serialization): the time until which the outgoing link to each world
     /// rank is busy. Written only by this rank's thread — back-to-back

@@ -59,9 +59,9 @@ std::uint64_t match_ctx(const Comm& comm, bool coll_ctx) {
 }
 
 /// The one send core: every point-to-point message is stamped, counted and
-/// delivered here. The caller fills the envelope (@p msg's ctx, tag, bytes,
-/// ack and robust_frame fields); this pays the send overhead, records the
-/// optional p2p span (@p span; null records none), updates CommStats,
+/// delivered here. The caller fills the envelope (@p msg's ctx, tag, bytes
+/// and robust_frame fields); this pays the send overhead, records the
+/// optional p2p span (named @p span), updates CommStats,
 /// queues the bytes on the link and hands the message to the transport.
 ///
 /// Clock invariant: all traffic charges vck() and queues on cur_busy.
@@ -77,7 +77,7 @@ void post_send(RankCtx& ctx, int dst_world, const void* buf, InMsg msg,
 
     const VTime t_send0 = ctx.vck().now();
     ctx.vck().advance(link.overhead_us);
-    if (span != nullptr && trace_p2p(ctx)) {
+    if (trace_p2p(ctx)) {
         hytrace::Span* s =
             trace_complete(ctx, hytrace::Phase::P2P, span, t_send0);
         s->peer = dst_world;
@@ -152,13 +152,6 @@ void charge_recv(RankCtx& ctx, const PostedRecv& pr, const char* span) {
     }
     ctx.stats.msgs_received += 1;
     ctx.stats.bytes_received += pr.msg_bytes;
-}
-
-/// Block until @p pr completes (detail::block_until: yields under an engine
-/// task, drives outstanding requests in owner context, parks otherwise).
-void wait_recv(RankCtx& ctx, PostedRecv* pr) {
-    PostedRecv* const one[] = {pr};
-    ctx.runtime->transport().wait(ctx.world_rank, one, &ctx);
 }
 
 }  // namespace
@@ -255,7 +248,6 @@ void post_frame_recv(const Comm& comm, PostedRecv* pr, void* buf,
     pr->tag = tag;
     pr->buf = buf;
     pr->capacity = bytes;
-    pr->post_vtime = ctx.vck().now();
     ctx.runtime->transport().post_recv(ctx.world_rank, pr);
 }
 
@@ -278,42 +270,6 @@ void send(const Comm& comm, const void* buf, std::size_t count, Datatype dt,
     const std::size_t bytes = count * datatype_size(dt);
     validate_buffer(comm, buf, bytes);
     detail::send_bytes(comm, buf, bytes, dest, tag, false);
-}
-
-void ssend(const Comm& comm, const void* buf, std::size_t count, Datatype dt,
-           int dest, int tag) {
-    validate_rank(comm, dest, false, "destination");
-    validate_tag(tag, false);
-    const std::size_t bytes = count * datatype_size(dt);
-    validate_buffer(comm, buf, bytes);
-    if (dest == kProcNull) return;
-    check_open(comm, "send");
-
-    RankCtx& ctx = comm.ctx();
-    const int dst_world = comm.to_world(dest);
-    const VTime t_ssend0 = ctx.vck().now();
-    const int ack_tag = static_cast<int>(ctx.ssend_seq++);
-    InMsg msg;
-    msg.ctx = comm.state().ctx_p2p;
-    msg.tag = tag;
-    msg.bytes = bytes;
-    msg.ack_to = ctx.world_rank;
-    msg.ack_tag = ack_tag;
-    msg.ack_alpha = ctx.link_to(dst_world).alpha_us;
-    post_send(ctx, dst_world, buf, std::move(msg), nullptr);
-
-    // MPI_Ssend completes only once the matching receive has started: wait
-    // for the acknowledgement and adopt its modelled arrival.
-    PostedRecv ack;
-    detail::post_frame_recv(comm, &ack, nullptr, 0, dest, ack_tag, kAckCtx);
-    wait_recv(ctx, &ack);
-    ctx.vck().sync_to(ack.arrival);
-    if (trace_p2p(ctx)) {
-        hytrace::Span* s =
-            trace_complete(ctx, hytrace::Phase::P2P, "ssend", t_ssend0);
-        s->peer = dst_world;
-        s->bytes = bytes;
-    }
 }
 
 Status recv(const Comm& comm, void* buf, std::size_t count, Datatype dt,
@@ -342,15 +298,6 @@ Request irecv(const Comm& comm, void* buf, std::size_t count, Datatype dt,
     const std::size_t bytes = count * datatype_size(dt);
     validate_buffer(comm, buf, bytes);
     return detail::irecv_bytes(comm, buf, bytes, source, tag, false);
-}
-
-Status sendrecv(const Comm& comm, const void* sendbuf, std::size_t sendcount,
-                int dest, int sendtag, void* recvbuf, std::size_t recvcount,
-                int source, int recvtag, Datatype dt) {
-    Request rr = irecv(comm, recvbuf, recvcount, dt, source, recvtag);
-    send(comm, sendbuf, sendcount, dt, dest, sendtag);
-    if (source == kProcNull) return Status{kProcNull, recvtag, 0};
-    return rr.wait();
 }
 
 bool iprobe(const Comm& comm, int source, int tag, Status* out) {
@@ -466,7 +413,10 @@ Status Request::wait() {
         release();
         return st;
     }
-    wait_recv(*ctx_, recv_.get());
+    // detail::block_until: yields under an engine task, drives outstanding
+    // requests in owner context, parks otherwise.
+    PostedRecv* const one[] = {recv_.get()};
+    ctx_->runtime->transport().wait(ctx_->world_rank, one, ctx_);
     return finish_recv();
 }
 

@@ -12,13 +12,6 @@ namespace minimpi {
 void send(const Comm& comm, const void* buf, std::size_t count, Datatype dt,
           int dest, int tag);
 
-/// Synchronous send (MPI_Ssend): returns only once the matching receive
-/// has started, modelled as a zero-byte acknowledgement from the receiver.
-/// Faithful to MPI also in the unhappy case: two ranks ssend-ing to each
-/// other before receiving deadlock, exactly as the standard says they must.
-void ssend(const Comm& comm, const void* buf, std::size_t count, Datatype dt,
-           int dest, int tag);
-
 /// Blocking receive. @p source may be kAnySource, @p tag may be kAnyTag.
 Status recv(const Comm& comm, void* buf, std::size_t count, Datatype dt,
             int source, int tag);
@@ -28,11 +21,6 @@ Request isend(const Comm& comm, const void* buf, std::size_t count,
               Datatype dt, int dest, int tag);
 Request irecv(const Comm& comm, void* buf, std::size_t count, Datatype dt,
               int source, int tag);
-
-/// MPI_Sendrecv: concurrent send and receive (deadlock-free).
-Status sendrecv(const Comm& comm, const void* sendbuf, std::size_t sendcount,
-                int dest, int sendtag, void* recvbuf, std::size_t recvcount,
-                int source, int recvtag, Datatype dt);
 
 /// MPI_Iprobe / MPI_Probe. Status::bytes reports payload size; source is a
 /// comm-local rank.
@@ -95,8 +83,7 @@ void send_frame(const Comm& comm, const void* buf, std::size_t bytes, int dest,
 
 /// Post a frame receive on an explicit matching context. @p pr must outlive
 /// the match (stack- or member-owned by the robust protocol state). This is
-/// the p2p layer's one receive post: irecv_bytes_ctx and ssend's
-/// acknowledgement go through it too.
+/// the p2p layer's one receive post: irecv_bytes_ctx goes through it too.
 void post_frame_recv(const Comm& comm, PostedRecv* pr, void* buf,
                      std::size_t bytes, int source, int tag,
                      std::uint64_t ctx_id);

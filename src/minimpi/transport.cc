@@ -23,7 +23,7 @@ std::unique_ptr<std::byte[]> Transport::make_payload(const void* src,
     return copy;
 }
 
-Transport::AckOut Transport::complete(PostedRecv* r, InMsg& m, int receiver) {
+void Transport::complete(PostedRecv* r, const InMsg& m) {
     r->msg_bytes = m.bytes;
     r->matched_src = m.src_global;
     r->matched_tag = m.tag;
@@ -36,33 +36,11 @@ Transport::AckOut Transport::complete(PostedRecv* r, InMsg& m, int receiver) {
         std::memcpy(r->buf, m.payload.get(), m.bytes);
     }
     r->completed = true;
-
-    AckOut ack;
-    if (m.ack_to >= 0) {
-        ack.to = m.ack_to;
-        ack.tag = m.ack_tag;
-        ack.from = receiver;
-        ack.arrival = std::max(m.arrival, r->post_vtime) + m.ack_alpha;
-    }
-    return ack;
-}
-
-void Transport::send_ack(const AckOut& ack) {
-    if (ack.to < 0) return;
-    InMsg a;
-    a.ctx = kAckCtx;
-    a.src_global = ack.from;
-    a.tag = ack.tag;
-    a.bytes = 0;
-    a.arrival = ack.arrival;
-    a.recv_overhead = 0.0;
-    deliver(ack.to, std::move(a));
 }
 
 void Transport::deliver(int dst_global, InMsg msg) {
     // Fault injection happens at the delivery boundary, before matching.
-    // Reserved contexts are exempt: acks derive their arrival from an
-    // already-perturbed message, and the robust control channel models a
+    // Reserved contexts are exempt: the robust control channel models a
     // reliable side band (see kRobustCtrlCtx).
     InMsg dup;
     bool have_dup = false;
@@ -103,8 +81,6 @@ void Transport::deliver(int dst_global, InMsg msg) {
                     }
                     dup.arrival = msg.arrival + faults_->dup_delay_us;
                     dup.recv_overhead = msg.recv_overhead;
-                    // Never re-ack: an ssend must see exactly one ack.
-                    dup.ack_to = -1;
                     dup.fault_seq = msg.fault_seq;
                     dup.robust_frame = msg.robust_frame;
                     have_dup = true;
@@ -122,47 +98,31 @@ void Transport::deliver_matched(int dst_global, InMsg msg) {
     // receive it, and keeping it alive would leak and (worse) let a later
     // shrunken communicator reusing the rank observe stale state.
     if (mb.dead.load(std::memory_order_acquire)) return;
-    AckOut ack;
-    {
-        std::lock_guard<std::mutex> lock(mb.mu);
-        bool matched = false;
-        for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-            if (matches(**it, msg)) {
-                ack = complete(*it, msg, dst_global);
-                mb.posted.erase(it);
-                mb.cv.notify_all();
-                matched = true;
-                break;
-            }
-        }
-        if (!matched) {
-            mb.unexpected.push_back(std::move(msg));
-            // Probes may be waiting even with no posted receive.
+    std::lock_guard<std::mutex> lock(mb.mu);
+    for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
+        if (matches(**it, msg)) {
+            complete(*it, msg);
+            mb.posted.erase(it);
             mb.cv.notify_all();
+            return;
         }
     }
-    send_ack(ack);
+    mb.unexpected.push_back(std::move(msg));
+    // Probes may be waiting even with no posted receive.
+    mb.cv.notify_all();
 }
 
 void Transport::post_recv(int me, PostedRecv* r) {
     Mailbox& mb = box(me);
-    AckOut ack;
-    {
-        std::lock_guard<std::mutex> lock(mb.mu);
-        bool matched = false;
-        for (auto it = mb.unexpected.begin(); it != mb.unexpected.end(); ++it) {
-            if (matches(*r, *it)) {
-                ack = complete(r, *it, me);
-                mb.unexpected.erase(it);
-                matched = true;
-                break;
-            }
+    std::lock_guard<std::mutex> lock(mb.mu);
+    for (auto it = mb.unexpected.begin(); it != mb.unexpected.end(); ++it) {
+        if (matches(*r, *it)) {
+            complete(r, *it);
+            mb.unexpected.erase(it);
+            return;
         }
-        if (!matched) mb.posted.push_back(r);
     }
-    // Outside the lock: send_ack may lock any mailbox, including this one
-    // (self-ssend).
-    send_ack(ack);
+    mb.posted.push_back(r);
 }
 
 std::size_t Transport::wait(int me, std::span<PostedRecv* const> rs,

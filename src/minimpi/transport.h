@@ -30,14 +30,6 @@ struct InMsg {
     VTime arrival = 0.0;        ///< modelled time the message reaches the dest
     VTime recv_overhead = 0.0;  ///< CPU overhead the receiver pays on match
 
-    /// Synchronous-send support: when >= 0, matching this message emits a
-    /// zero-byte acknowledgement to world rank `ack_to` on the reserved ack
-    /// context, stamped max(arrival, recv-post time) + ack_alpha. This is
-    /// how MPI_Ssend learns its receive has started.
-    int ack_to = -1;
-    int ack_tag = 0;
-    VTime ack_alpha = 0.0;
-
     /// Index of this message within the sender's stream to this destination,
     /// stamped by the sending rank (program order, hence deterministic).
     /// Keys the FaultPlan's per-message perturbations.
@@ -53,12 +45,12 @@ struct InMsg {
     bool robust_frame = false;
 };
 
-/// Context id reserved for synchronous-send acknowledgements (never handed
-/// to a communicator).
-inline constexpr std::uint64_t kAckCtx = 0;
+/// Context id 0 is not used. The ids below keep their values: robust
+/// channel uids and engine-task contexts derive from a communicator's
+/// context id, so renumbering would move recorded results.
 
 /// Context id reserved for the resilience layer's ACK/NACK control frames
-/// (src/robust). Like kAckCtx it is exempt from fault injection: a lost
+/// (src/robust). It is exempt from fault injection: a lost
 /// acknowledgement would reintroduce the two-generals problem the bounded
 /// retry protocol is built to avoid, so control frames model a reliable
 /// side channel while DATA frames ride the faulty transport.
@@ -85,7 +77,6 @@ struct PostedRecv {
     int matched_tag = 0;
     VTime arrival = 0.0;
     VTime recv_overhead = 0.0;
-    VTime post_vtime = 0.0;  ///< receiver's clock when the recv was posted
 };
 
 /// Point-to-point matching engine: one mailbox per world rank, with MPI
@@ -105,8 +96,8 @@ public:
     PayloadMode payload_mode() const { return mode_; }
 
     /// Attach a deterministic fault plan (non-owning; may be null). Applied
-    /// to every subsequent deliver() except synchronous-send acks. Set
-    /// before rank threads start; the Runtime wires this per run().
+    /// to every subsequent deliver() on a user context. Set before rank
+    /// threads start; the Runtime wires this per run().
     void set_fault_plan(const FaultPlan* plan) { faults_ = plan; }
 
     /// Deliver a message to @p dst_global: either complete a matching posted
@@ -233,24 +224,9 @@ private:
                (r.tag == kAnyTag || r.tag == m.tag);
     }
 
-    /// Pending synchronous-send acknowledgement produced by a match.
-    struct AckOut {
-        int to = -1;
-        int tag = 0;
-        int from = -1;
-        VTime arrival = 0.0;
-    };
-
     /// Fill completion fields of @p r from @p m and copy the payload.
-    /// @p receiver is the mailbox owner's world rank (the ack's source).
-    /// Caller holds the mailbox lock. Returns the ack to emit (to < 0 if
-    /// none); the caller sends it AFTER releasing the lock (lock-order
-    /// safety for mutually synchronous traffic).
-    AckOut complete(PostedRecv* r, InMsg& m, int receiver);
-
-    /// Emit a synchronous-send acknowledgement (no-op when ack.to < 0).
-    /// Must be called WITHOUT holding any mailbox lock.
-    void send_ack(const AckOut& ack);
+    /// Caller holds the mailbox lock.
+    static void complete(PostedRecv* r, const InMsg& m);
 
     /// Post-fault delivery: match against posted receives or enqueue as
     /// unexpected. Split from deliver() so an injected duplicate is not

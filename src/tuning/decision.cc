@@ -1,7 +1,6 @@
 #include "tuning/decision.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <iterator>
 #include <mutex>
 #include <sstream>
@@ -187,52 +186,23 @@ namespace {
 
 struct Registry {
     std::mutex mu;
-    bool env_loaded = false;
     bool baked_loaded = false;
     std::unordered_map<std::string, DecisionTable> overrides;
     std::unordered_map<std::string, DecisionTable> baked;
 
     /// Call with mu held.
     void ensure_loaded() {
-        if (!baked_loaded) {
-            baked_loaded = true;
-            int count = 0;
-            const baked::BakedTable* tables = baked::tables(&count);
-            for (int i = 0; i < count; ++i) {
-                DecisionTable t = DecisionTable::parse(tables[i].text);
-                if (t.profile() != tables[i].name) {
-                    throw std::runtime_error(
-                        "baked decision table profile mismatch: " +
-                        t.profile());
-                }
-                baked.emplace(t.profile(), std::move(t));
+        if (baked_loaded) return;
+        baked_loaded = true;
+        int count = 0;
+        const baked::BakedTable* tables = baked::tables(&count);
+        for (int i = 0; i < count; ++i) {
+            DecisionTable t = DecisionTable::parse(tables[i].text);
+            if (t.profile() != tables[i].name) {
+                throw std::runtime_error(
+                    "baked decision table profile mismatch: " + t.profile());
             }
-        }
-        if (!env_loaded) {
-            env_loaded = true;
-            if (const char* env = std::getenv("HYMPI_TUNING_FILE")) {
-                std::string paths(env);
-                std::size_t start = 0;
-                while (start <= paths.size()) {
-                    const std::size_t sep = paths.find(';', start);
-                    const std::string path = paths.substr(
-                        start, sep == std::string::npos ? std::string::npos
-                                                        : sep - start);
-                    if (!path.empty()) {
-                        std::ifstream in(path);
-                        if (!in) {
-                            throw std::runtime_error(
-                                "HYMPI_TUNING_FILE: cannot open " + path);
-                        }
-                        std::ostringstream buf;
-                        buf << in.rdbuf();
-                        DecisionTable t = DecisionTable::parse(buf.str());
-                        overrides.insert_or_assign(t.profile(), std::move(t));
-                    }
-                    if (sep == std::string::npos) break;
-                    start = sep + 1;
-                }
-            }
+            baked.emplace(t.profile(), std::move(t));
         }
     }
 };
@@ -272,20 +242,6 @@ void unregister_table(std::string_view profile) {
     Registry& r = registry();
     std::lock_guard<std::mutex> lock(r.mu);
     r.overrides.erase(std::string(profile));
-}
-
-bool load_table_file(const std::string& path, std::string* error) {
-    try {
-        std::ifstream in(path);
-        if (!in) throw std::runtime_error("cannot open " + path);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        register_table(DecisionTable::parse(buf.str()));
-        return true;
-    } catch (const std::exception& e) {
-        if (error) *error = e.what();
-        return false;
-    }
 }
 
 }  // namespace tuning

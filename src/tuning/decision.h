@@ -156,11 +156,9 @@ private:
 
 /// Registry consulted once per Runtime::run, keyed by ModelParams::name.
 ///
-/// Resolution order: tables registered at runtime (register_table or the
-/// HYMPI_TUNING_FILE environment variable — ';'-separated paths to
-/// serialized tables, loaded on first use) shadow the baked-in tables
-/// generated by the `tune_tables` CLI and checked in under
-/// src/tuning/tables/. Setting HYMPI_TUNING_DISABLE=1 makes find_table
+/// Resolution order: tables registered at runtime (register_table) shadow
+/// the baked-in tables generated by the `tune_tables` CLI and checked in
+/// under src/tuning/tables/. Setting HYMPI_TUNING_DISABLE=1 makes find_table
 /// return null for every profile (pure legacy-threshold behavior).
 /// Returns nullptr when no table is known for @p profile — notably the
 /// "test" profile, which keeps unit tests on the legacy selection.
@@ -170,9 +168,5 @@ const DecisionTable* find_table(std::string_view profile);
 void register_table(DecisionTable table);
 /// Drop a runtime override; any baked table for the profile resurfaces.
 void unregister_table(std::string_view profile);
-
-/// Parse a serialized table from @p path into the runtime overrides.
-/// Returns false (with a message in *error if non-null) on failure.
-bool load_table_file(const std::string& path, std::string* error);
 
 }  // namespace tuning

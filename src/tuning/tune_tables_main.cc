@@ -6,9 +6,9 @@
 //   tune_tables [--profile cray|openmpi|all] [--seed N] [--quick]
 //               [--out-dir DIR] [--format table|inc]
 //
-// --format table (default) writes plain serialized tables loadable via
-// HYMPI_TUNING_FILE; --format inc wraps them in raw string literals for
-// the checked-in baked tables:
+// --format table (default) writes plain serialized tables
+// (DecisionTable::parse reads them back); --format inc wraps them in raw
+// string literals for the checked-in baked tables:
 //   ./build/src/tuning/tune_tables --format inc --out-dir src/tuning/tables
 
 #include <cstdlib>

@@ -101,17 +101,19 @@ TEST(Cart, ThreeDimensional) {
 }
 
 TEST(Cart, HaloExchangeOverShift) {
-    // A classic 1D halo exchange written with shift + sendrecv.
+    // A classic 1D halo exchange: post both receives, then send.
     Runtime rt(ClusterSpec::regular(2, 3), ModelParams::test());
     rt.run([](Comm& world) {
         CartComm cart(world, {6}, {true});
         const auto [left, right] = cart.shift(0, 1);
         const int mine = world.rank() * 7;
         int from_left = -1, from_right = -1;
-        sendrecv(world, &mine, 1, right, 0, &from_left, 1, left, 0,
-                 Datatype::Int32);
-        sendrecv(world, &mine, 1, left, 1, &from_right, 1, right, 1,
-                 Datatype::Int32);
+        Request rl = irecv(world, &from_left, 1, Datatype::Int32, left, 0);
+        Request rr = irecv(world, &from_right, 1, Datatype::Int32, right, 1);
+        send(world, &mine, 1, Datatype::Int32, right, 0);
+        send(world, &mine, 1, Datatype::Int32, left, 1);
+        rl.wait();
+        rr.wait();
         EXPECT_EQ(from_left, ((world.rank() + 5) % 6) * 7);
         EXPECT_EQ(from_right, ((world.rank() + 1) % 6) * 7);
     });

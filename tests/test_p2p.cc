@@ -219,19 +219,6 @@ TEST(P2P, DroppedPendingRecvIsCancelled) {
     });
 }
 
-TEST(P2P, SendrecvExchanges) {
-    Runtime rt = make_rt();
-    rt.run([](Comm& world) {
-        const int peer = 1 - world.rank();
-        const int mine = world.rank() + 60;
-        int theirs = -1;
-        Status st = sendrecv(world, &mine, 1, peer, 0, &theirs, 1, peer, 0,
-                             Datatype::Int32);
-        EXPECT_EQ(theirs, peer + 60);
-        EXPECT_EQ(st.source, peer);
-    });
-}
-
 TEST(P2P, IprobeSeesPendingWithoutConsuming) {
     Runtime rt = make_rt();
     rt.run([](Comm& world) {
@@ -305,91 +292,7 @@ TEST(P2P, LargeMessage) {
     });
 }
 
-TEST(P2P, SsendCompletesAfterReceiveStarts) {
-    Runtime rt(ClusterSpec::regular(2, 1), ModelParams::cray());
-    auto clocks = rt.run([](Comm& world) {
-        if (world.rank() == 0) {
-            int v = 5;
-            ssend(world, &v, 1, Datatype::Int32, 1, 0);
-            // The sender's clock must reflect the receiver's late post:
-            // the receiver computes for 300us before posting its recv.
-            EXPECT_GT(world.ctx().clock.now(), 300.0);
-        } else {
-            world.ctx().clock.advance(300.0);
-            int v = 0;
-            recv(world, &v, 1, Datatype::Int32, 0, 0);
-            EXPECT_EQ(v, 5);
-        }
-    });
-    (void)clocks;
-}
-
-TEST(P2P, SsendDataIntegrity) {
-    Runtime rt(ClusterSpec::regular(1, 2), ModelParams::test());
-    rt.run([](Comm& world) {
-        if (world.rank() == 0) {
-            std::vector<double> d(100);
-            std::iota(d.begin(), d.end(), 0.5);
-            ssend(world, d.data(), d.size(), Datatype::Double, 1, 3);
-        } else {
-            std::vector<double> d(100);
-            recv(world, d.data(), d.size(), Datatype::Double, 0, 3);
-            EXPECT_DOUBLE_EQ(d[0], 0.5);
-            EXPECT_DOUBLE_EQ(d[99], 99.5);
-        }
-    });
-}
-
-TEST(P2P, SsendWithPrePostedReceiveIsPrompt) {
-    Runtime rt(ClusterSpec::regular(2, 1), ModelParams::cray());
-    rt.run([](Comm& world) {
-        if (world.rank() == 1) {
-            int v = 0;
-            Request r = irecv(world, &v, 1, Datatype::Int32, 0, 0);
-            send(world, nullptr, 0, Datatype::Byte, 0, 9);  // "recv posted"
-            r.wait();
-            EXPECT_EQ(v, 88);
-        } else {
-            recv(world, nullptr, 0, Datatype::Byte, 1, 9);
-            const VTime before = world.ctx().clock.now();
-            int v = 88;
-            ssend(world, &v, 1, Datatype::Int32, 1, 0);
-            // Completion ~ one round trip, no long stall.
-            EXPECT_LT(world.ctx().clock.now() - before, 20.0);
-        }
-    });
-}
-
-TEST(P2P, SsendToSelfWithPostedRecv) {
-    Runtime rt(ClusterSpec::regular(1, 1), ModelParams::test());
-    rt.run([](Comm& world) {
-        int in = 0;
-        Request r = irecv(world, &in, 1, Datatype::Int32, 0, 0);
-        int out = 123;
-        ssend(world, &out, 1, Datatype::Int32, 0, 0);
-        r.wait();
-        EXPECT_EQ(in, 123);
-    });
-}
-
-TEST(P2P, SsendOrderingWithRegularSends) {
-    Runtime rt(ClusterSpec::regular(1, 2), ModelParams::test());
-    rt.run([](Comm& world) {
-        if (world.rank() == 0) {
-            int a = 1, b = 2, c = 3;
-            send(world, &a, 1, Datatype::Int32, 1, 0);
-            ssend(world, &b, 1, Datatype::Int32, 1, 0);
-            send(world, &c, 1, Datatype::Int32, 1, 0);
-        } else {
-            // Non-overtaking holds across send modes.
-            EXPECT_EQ(recv_value<int>(world, 0, 0), 1);
-            EXPECT_EQ(recv_value<int>(world, 0, 0), 2);
-            EXPECT_EQ(recv_value<int>(world, 0, 0), 3);
-        }
-    });
-}
-
-TEST(P2P, SsendOnFreedCommThrowsLikeSend) {
+TEST(P2P, SendOnFreedCommThrows) {
     Runtime rt = make_rt(1, 2);
     rt.run([](Comm& world) {
         Comm c = world.split(0);
@@ -397,6 +300,5 @@ TEST(P2P, SsendOnFreedCommThrowsLikeSend) {
         int v = 1;
         const int peer = (c.rank() + 1) % c.size();
         EXPECT_THROW(send(c, &v, 1, Datatype::Int32, peer, 0), CommError);
-        EXPECT_THROW(ssend(c, &v, 1, Datatype::Int32, peer, 0), CommError);
     });
 }

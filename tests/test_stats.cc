@@ -46,31 +46,6 @@ TEST(Stats, BytesTracked) {
     EXPECT_EQ(rt.last_stats()[0].intra_node_msgs, 1u);
 }
 
-TEST(Stats, SsendCountsLikeSend) {
-    // ssend and send share one send core: one inter-node message leaves the
-    // same sender counters whichever call sent it.
-    const auto sender_stats = [](bool sync) {
-        Runtime rt(ClusterSpec::regular(2, 1), ModelParams::test());
-        rt.run([sync](Comm& world) {
-            int v = 7;
-            if (world.rank() == 1) {
-                recv(world, &v, 1, Datatype::Int32, 0, 0);
-            } else if (sync) {
-                ssend(world, &v, 1, Datatype::Int32, 1, 0);
-            } else {
-                send(world, &v, 1, Datatype::Int32, 1, 0);
-            }
-        });
-        return rt.last_stats()[0];
-    };
-    const CommStats plain = sender_stats(false);
-    const CommStats sync = sender_stats(true);
-    EXPECT_EQ(plain.msgs_sent, 1u);
-    EXPECT_EQ(sync.msgs_sent, plain.msgs_sent);
-    EXPECT_EQ(sync.bytes_sent, plain.bytes_sent);
-    EXPECT_EQ(sync.inter_node_msgs, plain.inter_node_msgs);
-}
-
 TEST(Stats, BinomialBcastSendsExactlyPMinusOneMessages) {
     ModelParams flat = ModelParams::test();
     flat.smp_aware = false;
