@@ -12,8 +12,7 @@
 #include <cstdio>
 
 #include "apps/summa.h"
-#include "bench_util/latency.h"
-#include "bench_util/table.h"
+#include "bench_common.h"
 
 using namespace minimpi;
 using namespace apps;
@@ -75,8 +74,11 @@ int main() {
                 measure_summa(cores, block, Backend::Hybrid, true);
             table.add_row(cores, {ori, hy, la, ori / hy});
         }
-        table.print("Fig. 11 — SUMMA per-multiply time, tile " +
-                    std::to_string(block) + "x" + std::to_string(block));
+        benchcm::emit(table, "fig11", "tile" + std::to_string(block),
+                      "Fig. 11 — SUMMA per-multiply time, tile " +
+                          std::to_string(block) + "x" +
+                          std::to_string(block),
+                      "cray");
     }
     return 0;
 }

@@ -53,7 +53,7 @@ void NodeSync::signal(Cell& c, minimpi::RankCtx& ctx) {
     std::lock_guard<std::mutex> lock(shared_->mu);
     c.vtime = ctx.clock.now();
     ++c.seq;
-    shared_->cv.notify_all();
+    shared_->site.notify_all();
 }
 
 template <typename Stamp>
@@ -71,8 +71,10 @@ void NodeSync::wait_flag(const std::uint64_t& seq, std::uint64_t target,
     // normally. Poison, a dead owner (the flag will never be published) and
     // a revoked world comm (some survivor started recovery) wake the wait
     // through the park record.
+    const minimpi::detail::WaitDesc at =
+        minimpi::detail::WaitDesc::flag(owner_world, target);
     minimpi::detail::block_until(
-        minimpi::detail::waiter_of(ctx), shared_->mu, shared_->cv,
+        minimpi::detail::waiter_of(ctx), shared_->mu, shared_->site, at,
         [&] {
             if (seq < target) return false;
             signal_time = stamp();
@@ -134,7 +136,7 @@ void NodeSync::chunk_signal(int slot) {
     c.stamps.push_back(ctx.clock.now());
     ++c.seq;
     ++chunk_next_[static_cast<std::size_t>(slot)];
-    shared_->cv.notify_all();
+    shared_->site.notify_all();
 }
 
 void NodeSync::chunk_wait(int slot, std::uint64_t target) {

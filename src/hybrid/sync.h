@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -137,7 +136,7 @@ private:
     /// the costs a window-resident flag array would incur.
     struct Shared {
         std::mutex mu;
-        std::condition_variable cv;
+        minimpi::detail::WaitSite site;  ///< ranks waiting on a flag here
         std::vector<Cell> ready;    ///< one per shm rank
         std::vector<Cell> release;  ///< one per leader (first L entries used)
         /// Pipeline flag slots: [0, ppn) per-rank chunk-ready, [ppn] the

@@ -1,7 +1,6 @@
 #include "minimpi/block.h"
 
-#include <chrono>
-#include <thread>
+#include <stdexcept>
 
 #include "minimpi/error.h"
 #include "minimpi/icoll_gate.h"
@@ -10,32 +9,8 @@
 
 namespace minimpi::detail {
 
-namespace {
-
-/// Real-time backoff between progress sweeps: cheap CPU yields first, then
-/// short sleeps, so a genuinely stalled peer does not burn a core. Never
-/// touches virtual time.
-void backoff(int spins) {
-    if (spins < 256) {
-        std::this_thread::yield();
-    } else if (spins < 4096) {
-        std::this_thread::sleep_for(std::chrono::microseconds(2));
-    } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-}
-
-}  // namespace
-
-void ParkRecord::wake() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (site_cv == nullptr) return;
-    std::lock_guard<std::mutex> site(*site_mu);
-    site_cv->notify_all();
-}
-
 Waiter waiter_of(RankCtx& ctx) {
-    return Waiter{ctx.runtime->transport(), &ctx, ctx.world_rank};
+    return Waiter{ctx.runtime->transport(), &ctx};
 }
 
 void raise_interrupt(const Waiter& w, const WaitInterrupt& wi) {
@@ -60,44 +35,47 @@ void raise_interrupt(const Waiter& w, const WaitInterrupt& wi) {
     throw ProcessFailedError(wi.rank, death);
 }
 
-BlockScope::BlockScope(const Waiter& w, std::mutex& mu,
-                       std::condition_variable& cv)
+BlockScope::BlockScope(const Waiter& w, WaitSite& site, const WaitDesc& at,
+                       std::unique_lock<std::mutex>& lock)
     : w_(w),
-      cv_(cv),
-      mode_(w.ctx == nullptr                   ? Mode::Park
-            : w.ctx->gate != nullptr           ? Mode::Yield
-            : !w.ctx->active_icolls.empty()    ? Mode::Drive
-                                               : Mode::Park) {
-    if (mode_ != Mode::Park) return;
-    ParkRecord& p = w_.tp.park_record(w_.me);
-    std::lock_guard<std::mutex> lock(p.mu);
-    p.site_mu = &mu;
-    p.site_cv = &cv;
+      site_(site),
+      at_(at),
+      lock_(lock),
+      task_(w.ctx != nullptr && w.ctx->gate != nullptr) {
+    node_.fiber = w.ctx != nullptr && w.ctx->fiber != nullptr ? w.ctx->fiber
+                                                              : current_fiber();
+    // Only the rank's own fiber parks; a task yields through its gate. A task
+    // torn down with its gate unset (its unwinding blocking again) or a
+    // plain thread has no way to wait.
+    if (node_.fiber == nullptr ||
+        (!task_ && (node_.fiber->scheduler() == nullptr ||
+                    node_.fiber != current_fiber()))) {
+        throw std::logic_error(
+            "minimpi: a blocking wait outside a rank of a running job");
+    }
 }
 
 BlockScope::~BlockScope() {
-    if (mode_ != Mode::Park) return;
-    ParkRecord& p = w_.tp.park_record(w_.me);
-    std::lock_guard<std::mutex> lock(p.mu);
-    p.site_mu = nullptr;
-    p.site_cv = nullptr;
+    if (lock_.owns_lock()) {
+        site_.unlink(node_);
+    } else {
+        std::lock_guard<std::mutex> relock(*lock_.mutex());
+        site_.unlink(node_);
+    }
 }
 
 bool BlockScope::poisoned() const { return w_.tp.poisoned(); }
 
-void BlockScope::pause(std::unique_lock<std::mutex>& lock) {
-    if (mode_ == Mode::Park) {
-        cv_.wait(lock);
-        return;
-    }
-    lock.unlock();
-    if (mode_ == Mode::Yield) {
+void BlockScope::pause() {
+    site_.link(node_);
+    lock_.unlock();
+    if (task_) {
         w_.ctx->gate->yield();
     } else {
-        icoll_progress(*w_.ctx);
-        backoff(spins_++);
+        if (w_.ctx != nullptr) icoll_progress(*w_.ctx);
+        node_.fiber->scheduler()->park(*node_.fiber, at_);
     }
-    lock.lock();
+    lock_.lock();
 }
 
 }  // namespace minimpi::detail

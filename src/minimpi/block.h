@@ -1,7 +1,8 @@
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
+
+#include "minimpi/sched.h"
 
 namespace minimpi {
 
@@ -21,30 +22,12 @@ struct WaitInterrupt {
     explicit operator bool() const { return kind != None; }
 };
 
-/// Where one rank is parked: the mutex and condvar of the site it waits at,
-/// registered for the duration of the wait. Poison, a rank's death and a
-/// revocation wake every parked rank through it (Transport::wake_parked).
-///
-/// Lock order: the waiter registers without holding the site's mutex and
-/// deregisters after releasing it; the waker holds `mu` while it takes the
-/// site's mutex and notifies. So no wake is lost, and no condvar is used
-/// after its owner freed it.
-struct ParkRecord {
-    std::mutex mu;
-    std::mutex* site_mu = nullptr;
-    std::condition_variable* site_cv = nullptr;
-
-    /// Waker side: notify the registered site, if any.
-    void wake();
-};
-
 /// Who is waiting. @p ctx is null for a bare Transport (and for the robust
-/// ARQ's frame receives): such a wait always parks and a dead source
-/// raises ProcessFailedError without the detection charge.
+/// ARQ's frame receives): such a wait parks the calling fiber and a dead
+/// source raises ProcessFailedError without the detection charge.
 struct Waiter {
     Transport& tp;
     RankCtx* ctx;
-    int me;  ///< world rank whose park record the wait uses
 };
 
 Waiter waiter_of(RankCtx& ctx);
@@ -56,28 +39,38 @@ Waiter waiter_of(RankCtx& ctx);
 /// "detect" span; CommRevokedError otherwise.
 [[noreturn]] void raise_interrupt(const Waiter& w, const WaitInterrupt& wi);
 
-/// The non-template half of block_until: picks the progress mode once,
-/// holds the park registration, and runs one step between two checks.
+/// The non-template half of block_until: the registration of the waiting
+/// rank at the site, and one pause between two checks.
+///
+/// The fiber a notify wakes is always the rank's own fiber, also when an
+/// engine task waits: the task links the rank's fiber at its site and
+/// switches back to the rank, which parks until its own site or any of its
+/// tasks' sites is notified (one wake token per rank).
 class BlockScope {
 public:
-    BlockScope(const Waiter& w, std::mutex& mu, std::condition_variable& cv);
+    BlockScope(const Waiter& w, WaitSite& site, const WaitDesc& at,
+               std::unique_lock<std::mutex>& lock);
+    /// Unlinks the registration (taking the site's mutex if not held).
     ~BlockScope();
     BlockScope(const BlockScope&) = delete;
     BlockScope& operator=(const BlockScope&) = delete;
 
     bool poisoned() const;
-    /// Wait for the next chance of progress. Under an engine task: release
-    /// the site and yield the turn. In owner context with nonblocking
-    /// requests outstanding: release the site, drive them all and back off.
-    /// Otherwise park on the site's condvar.
-    void pause(std::unique_lock<std::mutex>& lock);
+    /// Unlink the registration; the caller holds the site's mutex.
+    void leave() { site_.unlink(node_); }
+    /// Wait for the next chance of progress: link the registration, release
+    /// the site, then either (in an engine task) switch back to the rank, or
+    /// (in the rank itself) drive every outstanding nonblocking request once
+    /// and park until notified. Retakes the site before returning.
+    void pause();
 
 private:
-    enum class Mode : unsigned char { Park, Yield, Drive };
     Waiter w_;
-    std::condition_variable& cv_;
-    Mode mode_;
-    int spins_ = 0;
+    WaitSite& site_;
+    const WaitDesc& at_;
+    std::unique_lock<std::mutex>& lock_;
+    WaitNode node_;
+    bool task_;  ///< waiting inside an engine task (ctx.gate set)
 };
 
 struct NoInterrupt {
@@ -89,30 +82,29 @@ struct NoAbandon {
 
 /// The one blocking wait on another rank. Takes @p mu, and returns once
 /// done() holds (true), or once why() reports External (false, after
-/// abandon()). done(), why() and abandon() run under @p mu; the site
-/// notifies @p cv whenever done() may have become true. Every other
-/// interrupt runs abandon() and throws, see raise_interrupt. Returns with
-/// @p mu released.
+/// abandon()). done(), why() and abandon() run under @p mu; whoever may make
+/// done() true notifies @p site under @p mu. Every other interrupt runs
+/// abandon() and throws, see raise_interrupt. @p at says what the wait is
+/// for, should the job stall. Returns with @p mu released.
 template <typename Done, typename Why = NoInterrupt, typename Abandon = NoAbandon>
-bool block_until(const Waiter& w, std::mutex& mu, std::condition_variable& cv,
-                 Done&& done, Why&& why = {}, Abandon&& abandon = {}) {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (done()) return true;
-    }
-    BlockScope scope(w, mu, cv);
-    std::unique_lock<std::mutex> lock(mu);  // released before scope deregisters
+bool block_until(const Waiter& w, std::mutex& mu, WaitSite& site,
+                 const WaitDesc& at, Done&& done, Why&& why = {},
+                 Abandon&& abandon = {}) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (done()) return true;
+    BlockScope scope(w, site, at, lock);
     for (;;) {
-        if (done()) return true;
         const WaitInterrupt wi =
             scope.poisoned() ? WaitInterrupt{WaitInterrupt::Poisoned} : why();
         if (wi) {
             abandon();
+            scope.leave();
             lock.unlock();
             if (wi.kind == WaitInterrupt::External) return false;
             raise_interrupt(w, wi);
         }
-        scope.pause(lock);
+        scope.pause();
+        if (done()) return true;
     }
 }
 

@@ -181,7 +181,8 @@ Comm Comm::agree_shrink(std::vector<int>* failed_world) const {
     // comm-rank order, so the shrunken comm is identical on every survivor
     // with no extra exchange. Dead members and revocation are the point of
     // this call, so only poison interrupts it.
-    detail::block_until(detail::waiter_of(ctx), st.op_mu, slot->cv, [&] {
+    const detail::WaitDesc at = detail::WaitDesc::rendezvous(st.ctx_coll, key);
+    detail::block_until(detail::waiter_of(ctx), st.op_mu, slot->site, at, [&] {
         if (slot->done) return true;
         int ndead = 0;
         for (int w : st.members) {
@@ -201,7 +202,7 @@ Comm Comm::agree_shrink(std::vector<int>* failed_world) const {
         // (re-)revocation of the broken comm it descends from.
         d.child = rt->create_comm(std::move(survivors));
         slot->done = true;
-        slot->cv.notify_all();
+        slot->site.notify_all();
         return true;
     });
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -53,7 +52,7 @@ struct CommState {
         int left = 0;
         bool done = false;
         VTime max_clock = 0.0;
-        std::condition_variable cv;
+        detail::WaitSite site;  ///< guarded by op_mu
         std::shared_ptr<void> data;  ///< operation-specific payload
     };
     std::mutex op_mu;
@@ -90,7 +89,7 @@ struct CommState {
 inline constexpr std::uint64_t kShrinkKeyBase = 1ULL << 62;
 
 /// Per-rank communicator handle — a (state, my-rank, my-context) triple.
-/// Cheap to copy; must only be used from the owning rank's thread.
+/// Cheap to copy; must only be used from the owning rank's fiber.
 class Comm {
 public:
     /// Null handle (MPI_COMM_NULL): what split returns for kUndefined color.
@@ -239,12 +238,13 @@ std::shared_ptr<Data> rendezvous(CommState& st, RankCtx& ctx, int my_rank,
     if (++slot->arrived == st.size()) {
         finalize(*data);
         slot->done = true;
-        slot->cv.notify_all();
+        slot->site.notify_all();
     } else {
         lock.unlock();  // block_until takes op_mu itself
+        const WaitDesc at = WaitDesc::rendezvous(st.ctx_coll, key);
         block_until(
-            waiter_of(ctx), st.op_mu, slot->cv, [&] { return slot->done; },
-            [&] { return comm_interrupt(st); });
+            waiter_of(ctx), st.op_mu, slot->site, at,
+            [&] { return slot->done; }, [&] { return comm_interrupt(st); });
         lock.lock();
     }
 

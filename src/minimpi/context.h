@@ -25,6 +25,7 @@ class Runtime;
 class Transport;
 
 namespace detail {
+class Fiber;
 struct IcollGate;
 struct IcollState;
 }  // namespace detail
@@ -79,7 +80,7 @@ enum class QosPolicy : std::uint8_t {
 /// Multi-tenant arbitration + attribution state, installed on a rank by the
 /// collective-service driver (src/service) and null everywhere else — the
 /// default keeps every single-tenant code path and baseline byte-identical.
-/// Owned and written only by the rank's own thread.
+/// Owned and written only by the rank's own fiber.
 struct TenantState {
     QosPolicy policy = QosPolicy::Fifo;
     int tenant = -1;       ///< tenant whose job this rank is currently running
@@ -103,7 +104,7 @@ struct TenantState {
 };
 
 /// Per-rank execution context: identity plus the rank's virtual clock.
-/// Exactly one thread (the rank's own) touches the clock; the struct is
+/// Exactly one fiber (the rank's own) touches the clock; the struct is
 /// created by Runtime::run and outlives the rank main.
 struct RankCtx {
     int world_rank = -1;
@@ -169,12 +170,12 @@ struct RankCtx {
     hytrace::Recorder* spans = nullptr;
 
     /// Rank-private caches keyed by communicator state (hierarchy handles,
-    /// hybrid channels). Only the owning rank thread touches this map.
+    /// hybrid channels). Only the owning rank's fiber touches this map.
     std::unordered_map<const void*, std::shared_ptr<void>> comm_caches;
 
     /// Per-destination link occupancy (store-and-forward bandwidth
     /// serialization): the time until which the outgoing link to each world
-    /// rank is busy. Written only by this rank's thread — back-to-back
+    /// rank is busy. Written only by this rank's fiber — back-to-back
     /// sends to the same destination queue behind each other's wire time
     /// instead of overlapping for free.
     std::unordered_map<int, VTime> link_busy_until;
@@ -184,7 +185,7 @@ struct RankCtx {
     TenantState* tenant = nullptr;
 
     /// Per-destination message indices stamped onto outgoing messages
-    /// (InMsg::fault_seq). Program order on the owning thread, so the
+    /// (InMsg::fault_seq). Program order on the owning fiber, so the
     /// FaultPlan's perturbations replay deterministically.
     std::unordered_map<int, std::uint64_t> fault_seq;
 
@@ -225,10 +226,15 @@ struct RankCtx {
     /// nonblocking) collective on the same communicator.
     std::uint64_t coll_ctx_override = 0;
 
-    /// Cooperative-scheduling gate of the engine task currently holding
-    /// this rank's turn; null while the rank's own program runs. Every
-    /// wait on another rank (detail::block_until) yields through it instead
-    /// of blocking the OS thread.
+    /// The rank's own fiber (set by Runtime::run). Every wait of the rank,
+    /// and of its engine tasks, registers this fiber at its wait site: it
+    /// is the rank's one wake token.
+    detail::Fiber* fiber = nullptr;
+
+    /// Gate of the engine task currently running on this rank's behalf;
+    /// null while the rank's own program runs. Every wait on another rank
+    /// (detail::block_until) switches back to the rank through it instead
+    /// of parking.
     detail::IcollGate* gate = nullptr;
 
     /// Outstanding engine-backed requests of this rank, in posting order.
@@ -253,9 +259,9 @@ namespace detail {
 
 /// Thrown (by value) when a rank crosses its scheduled kill time. NOT an
 /// MpiError — deliberately outside the std::exception hierarchy so no user
-/// or library catch block between the checkpoint and rank_thread_entry can
-/// swallow a death. Runtime::rank_thread_entry catches it, records the
-/// death in the transport, and lets the thread exit silently: a dead rank
+/// or library catch block between the checkpoint and the rank fiber's entry
+/// can swallow a death. Runtime::run's rank fiber catches it, records the
+/// death in the transport, and ends silently: a dead rank
 /// is not an error, survivors observe it as ProcessFailedError.
 struct RankKilled {
     int world_rank = -1;
@@ -281,11 +287,11 @@ inline void check_alive(RankCtx& ctx) {
 VTime tenant_bridge_start(TenantState& ts, VTime now, std::size_t bytes);
 
 /// Drive every outstanding nonblocking collective of @p ctx once, without
-/// blocking (defined in icoll.cc). detail::block_until calls this between
-/// checks in owner context — the MPI progress rule: a rank blocked in any
-/// MPI call must keep its outstanding nonblocking operations advancing, or
-/// two ranks blocking on operations the other's engine still has in flight
-/// would deadlock. No-op when nothing is outstanding or inside the engine.
+/// blocking (defined in icoll.cc). detail::block_until calls this before
+/// the rank parks — the MPI progress rule: a rank blocked in any MPI call
+/// must keep its outstanding nonblocking operations advancing, or two ranks
+/// blocking on operations the other's engine still has in flight would
+/// deadlock. No-op when nothing is outstanding or inside the engine.
 void icoll_progress(RankCtx& ctx);
 
 }  // namespace detail

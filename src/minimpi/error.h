@@ -11,7 +11,7 @@ using VTime = double;
 
 /// Base class for all errors raised by the runtime. Mirrors the MPI error
 /// classes we actually need; the runtime follows the MPI_ERRORS_ARE_FATAL
-/// spirit by throwing (a rank thread that throws aborts the whole job, and
+/// spirit by throwing (a rank that throws aborts the whole job, and
 /// Runtime::run rethrows the first error to the caller).
 class MpiError : public std::runtime_error {
 public:
@@ -62,6 +62,16 @@ class JobAborted : public MpiError {
 public:
     explicit JobAborted(int by_rank)
         : MpiError("job aborted by world rank " + std::to_string(by_rank)) {}
+};
+
+/// Every live rank of the job waits on another and none can run: a wait
+/// that nothing will ever complete (a receive with no sender, a flag nobody
+/// signals). Raised by Runtime::run in place of a hang; the message lists
+/// each parked rank with its virtual clock and what it waits for.
+class StallError : public MpiError {
+public:
+    explicit StallError(const std::string& report)
+        : MpiError("stall: " + report) {}
 };
 
 /// A peer process died (FaultPlan kill): the ULFM MPI_ERR_PROC_FAILED

@@ -14,31 +14,28 @@ namespace detail {
 
 namespace {
 
-/// Worker loop of one request. Sleeps until the owner arms a body and hands
-/// over the turn, runs it (the body yields the turn back at every would-
-/// block point), publishes completion, and parks again — persistent
-/// requests re-arm the same worker. Exits on shutdown; a shutdown arriving
-/// mid-body surfaces as IcollCancelled inside yield() and unwinds the
-/// body's stack first.
-void worker_main(IcollState* st) {
-    IcollGate& g = st->gate;
-    std::unique_lock<std::mutex> lk(g.mu);
+/// Body of a request's task fiber. Runs the armed body (which switches back
+/// to the owner at every would-block point), publishes completion, and
+/// switches back; persistent requests re-arm and resume the same fiber for
+/// the next cycle. Ends on shutdown; a shutdown arriving mid-body surfaces
+/// as IcollCancelled inside yield() and unwinds the body's stack first.
+void task_main(IcollState& st) {
+    IcollGate& g = st.gate;
     for (;;) {
-        g.cv.wait(lk, [&] { return (g.armed && g.task_turn) || g.shutdown; });
-        if (g.shutdown) return;
-        lk.unlock();
         try {
-            st->body();
+            st.body();
         } catch (const IcollCancelled&) {
-            // Teardown mid-flight: the stack has unwound; just exit below.
+            // Teardown mid-flight: the stack has unwound; end below.
         } catch (...) {
             g.err = std::current_exception();
         }
-        lk.lock();
-        g.armed = false;
-        g.done = true;
-        g.task_turn = false;
-        g.cv.notify_all();
+        {
+            std::lock_guard<std::mutex> lk(g.mu);
+            g.done = true;
+            g.site.notify_all();
+        }
+        if (g.shutdown) return;
+        g.task->suspend();
         if (g.shutdown) return;
     }
 }
@@ -53,21 +50,18 @@ void deregister(IcollState& st) {
 }  // namespace
 
 IcollState::~IcollState() {
-    if (worker.joinable()) {
-        {
-            std::lock_guard<std::mutex> lk(gate.mu);
-            gate.shutdown = true;
-        }
-        gate.cv.notify_all();
-        worker.join();
+    if (gate.task != nullptr) {
+        gate.shutdown = true;
+        while (!gate.task->finished()) gate.task->resume();
+        gate.task.reset();
     }
     deregister(*this);
 }
 
 void icoll_progress(RankCtx& ctx) {
     if (ctx.gate != nullptr) return;  // task context: the engine is us
-    // Snapshot: drive_icoll never mutates the list (only post/merge on this
-    // same thread do, and neither runs inside a drive).
+    // Snapshot: drive_icoll never mutates the list (only post/merge on the
+    // owner do, and neither runs inside a drive).
     for (IcollState* st : ctx.active_icolls) drive_icoll(*st);
 }
 
@@ -78,26 +72,23 @@ bool drive_icoll(IcollState& st) {
         if (g.done || g.err != nullptr) return true;
     }
     RankCtx& ctx = *st.ctx;
-    // Swap the cost-model hooks for the task's turn. The owner thread is
-    // about to sleep and the gate guarantees the task is the only code
-    // touching ctx until the turn comes back.
+    // Swap the cost-model hooks for the task's run. The owner is suspended
+    // until the task switches back, so the task is the only code touching
+    // ctx meanwhile.
     ctx.cur_clock = &st.sub;
     ctx.cur_busy = &st.busy;
     ctx.coll_ctx_override = g.rdv_ctx;
     ctx.gate = &g;
-    bool done_now;
-    {
-        std::unique_lock<std::mutex> lk(g.mu);
-        g.task_turn = true;
-        g.cv.notify_all();
-        g.cv.wait(lk, [&] { return !g.task_turn; });
-        done_now = g.done || g.err != nullptr;
+    if (g.task == nullptr) {
+        g.task = std::make_unique<Fiber>([&st] { task_main(st); });
     }
+    g.task->resume();
     ctx.cur_clock = &ctx.clock;
     ctx.cur_busy = &ctx.link_busy_until;
     ctx.coll_ctx_override = 0;
     ctx.gate = nullptr;
-    return done_now;
+    std::lock_guard<std::mutex> lk(g.mu);
+    return g.done || g.err != nullptr;
 }
 
 void merge_icoll(IcollState& st) {
@@ -128,9 +119,11 @@ void wait_icoll_done(IcollState& target) {
     // The target is registered, so this is an owner-context wait with a
     // request outstanding: every pause drives all of them (the MPI progress
     // rule — two ranks waiting on different operations in opposite orders
-    // must not deadlock) and backs off.
+    // must not deadlock) and then parks until a site one of them waits at,
+    // or this gate, is notified.
     IcollGate& g = target.gate;
-    block_until(waiter_of(*target.ctx), g.mu, g.cv,
+    const WaitDesc at = WaitDesc::icoll(target.kind);
+    block_until(waiter_of(*target.ctx), g.mu, g.site, at,
                 [&] { return g.done || g.err != nullptr; });
 }
 
@@ -152,7 +145,6 @@ void arm_icoll(IcollState& st) {
         // but not yet left), so reusing round-N keys could join a stale slot.
         // Every member performs the same rendezvous count per round, so the
         // monotonic counter still agrees across ranks.
-        st.gate.armed = true;
     }
     if (!st.registered) {
         ctx.active_icolls.push_back(&st);
@@ -203,7 +195,6 @@ std::shared_ptr<IcollState> create_icoll(const Comm& comm, const char* kind,
     st->gate.rdv_ctx = (std::uint64_t{1} << 63) |
                        (match_seq ? (std::uint64_t{1} << 62) : 0) |
                        (comm.state().ctx_coll << 20) | (seq & 0xFFFFFu);
-    st->worker = std::thread(worker_main, st.get());
     return st;
 }
 
@@ -258,7 +249,7 @@ void CollRequest::destroy() {
             body_done = st->gate.done;
         }
         if (!body_done) {
-            // In flight: tear the worker down (unwinding its stack cancels
+            // In flight: tear the task down (unwinding its stack cancels
             // the posted receives) and surface the misuse — unless we are
             // already unwinding another exception or the job is aborting.
             st.reset();
@@ -289,7 +280,10 @@ bool CollRequest::test() {
         const bool done = detail::drive_icoll(st);
         // A test is a progress call for every outstanding operation.
         detail::icoll_progress(*st.ctx);
-        if (!done) return false;
+        if (!done) {
+            detail::yield_fiber();  // a polling loop must let peers run
+            return false;
+        }
         detail::merge_icoll(st);
     }
     return true;
@@ -431,7 +425,10 @@ bool PersistentColl::test() {
     if (!st.merged) {
         const bool done = detail::drive_icoll(st);
         detail::icoll_progress(*st.ctx);
-        if (!done) return false;
+        if (!done) {
+            detail::yield_fiber();  // a polling loop must let peers run
+            return false;
+        }
         detail::merge_icoll(st);
     }
     if (!st.on_wait) {

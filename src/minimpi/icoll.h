@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -16,11 +15,11 @@
 
 /// Nonblocking and persistent collectives on a virtual-time progress engine.
 ///
-/// Each outstanding collective is advanced by a worker thread executing the
-/// EXACT blocking implementation from coll.cc — under a cooperative gate
-/// (IcollGate) that guarantees only one of {owner program, one task} runs at
-/// any instant, so RankCtx needs no locking. While a task holds the turn the
-/// context's cost-model hooks are swapped:
+/// Each outstanding collective is advanced by a task fiber executing the
+/// EXACT blocking implementation from coll.cc — switched to directly from
+/// the rank's own fiber and back (IcollGate), so only one of {owner program,
+/// one task} runs at any instant and RankCtx needs no locking. While a task
+/// runs the context's cost-model hooks are swapped:
 ///
 ///   * ctx.cur_clock  -> the request's sub-clock (seeded with the clock at
 ///     post time; merged back with max() at completion). Communication time
@@ -57,7 +56,6 @@ struct IcollState {
     VClock sub;  ///< the request's communication sub-clock
     std::unordered_map<int, VTime> busy;  ///< private link-occupancy snapshot
     IcollGate gate;
-    std::thread worker;
 
     bool registered = false;    ///< listed in ctx->active_icolls
     bool merged = false;        ///< sub clock / busy merged back into the rank
@@ -67,15 +65,16 @@ struct IcollState {
     IcollState() = default;
     IcollState(const IcollState&) = delete;
     IcollState& operator=(const IcollState&) = delete;
-    /// Tears the worker down (cancelling a still-running body so its stack
+    /// Tears the task down (cancelling a still-running body so its stack
     /// unwinds and releases posted receives) and deregisters the request.
     ~IcollState();
 };
 
 /// Create a request state for @p comm: warms the hierarchy cache (so the
-/// task never builds communicators under the gate), derives the private
-/// matching context from the per-comm posting order, and launches the
-/// worker. Does NOT arm the body — post_icoll/PersistentColl::start do.
+/// task never builds communicators under the gate) and derives the private
+/// matching context from the per-comm posting order. Does NOT arm the body
+/// — post_icoll/PersistentColl::start do; the task fiber is made at the
+/// first drive.
 ///
 /// @p match_seq overrides the per-comm posting counter (which is neither
 /// consulted nor consumed) with a caller-supplied sequence number, placed
@@ -94,8 +93,8 @@ std::shared_ptr<IcollState> create_icoll(
 /// with the rank's progress list.
 void arm_icoll(IcollState& st);
 
-/// Hand the turn to the task until it yields or completes; returns whether
-/// the body has run to completion (or died with an error). Never blocks on
+/// Switch to the task until it yields or completes; returns whether the
+/// body has run to completion (or died with an error). Never blocks on
 /// another rank and never advances the main clock.
 bool drive_icoll(IcollState& st);
 
@@ -104,8 +103,8 @@ bool drive_icoll(IcollState& st);
 /// body's exception, if any.
 void merge_icoll(IcollState& st);
 
-/// Drive @p st to completion, round-robining every other outstanding
-/// request between attempts (the MPI progress rule) with real-time backoff.
+/// Drive @p st to completion, driving every other outstanding request
+/// between attempts (the MPI progress rule) and parking in between.
 void wait_icoll_done(IcollState& st);
 
 /// create + arm + one initial drive (flushes the body's first sends so
@@ -183,7 +182,7 @@ CollRequest iallreduce(const Comm& comm, const void* sendbuf, void* recvbuf,
 /// Persistent collective (MPI_Barrier_init / ... / MPI_Start): a reusable
 /// descriptor for a fixed-argument collective. Initialization is collective
 /// (same order on every member) and caches everything derivable once — the
-/// node hierarchy, the private matching context and the worker thread — so
+/// node hierarchy, the private matching context and the task fiber — so
 /// start() only re-arms the body. start() on an active request throws
 /// RequestError; wait() on an inactive one is a no-op (MPI semantics);
 /// test() of an inactive request reports true.

@@ -1,40 +1,40 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
+
+#include "minimpi/sched.h"
 
 namespace minimpi::detail {
 
 /// Thrown out of IcollGate::yield when the request is torn down while its
-/// body is still in flight: unwinds the worker's stack so RAII releases
-/// posted receives and scratch buffers. Never escapes the worker loop.
+/// body is still in flight: unwinds the task's stack so RAII releases
+/// posted receives and scratch buffers. Never escapes the task fiber.
 struct IcollCancelled {};
 
-/// Cooperative handoff between a rank's own thread (the "owner") and the
-/// worker thread advancing one outstanding nonblocking collective (the
-/// "task"). Exactly one of the two runs at any moment: the owner sleeps in
-/// the engine's drive() while the task holds the turn, and the task sleeps
-/// in yield() (or in its idle loop) otherwise — so RankCtx never sees
-/// concurrent access even though two OS threads share it, and TSan agrees.
+/// Handoff between a rank's own fiber (the "owner") and the task fiber
+/// advancing one outstanding nonblocking collective. drive_icoll switches
+/// from the owner straight into the task, and the task switches straight
+/// back at every would-block point (yield) or when its body ends, so
+/// exactly one of the two runs at any moment, on one thread, and RankCtx
+/// never sees concurrent access.
 ///
-/// Tasks never block the OS thread: every wait on another rank goes through
-/// detail::block_until, which under an active `ctx.gate` yields the turn
-/// instead of parking — transport receives and probes, collective
-/// rendezvous, node flag waits and the rest alike. That is what lets Test()
-/// poll without spinning virtual time and lets a Wait() on one request
-/// keep every other outstanding request progressing (the MPI progress
-/// rule). The three turn handoffs (yield() here, worker_main and
-/// drive_icoll) are the only condvar waits outside that helper.
+/// Tasks never park: every wait on another rank goes through
+/// detail::block_until, which under an active `ctx.gate` links the owner's
+/// fiber at the site and yields instead — transport receives and probes,
+/// collective rendezvous, node flag waits and the rest alike. That is what
+/// lets Test() poll without spinning virtual time and lets a Wait() on one
+/// request keep every other outstanding request progressing (the MPI
+/// progress rule).
 struct IcollGate {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool task_turn = false;  ///< task may run; owner sleeps meanwhile
-    bool armed = false;      ///< a body is pending or executing
+    std::mutex mu;           ///< guards done and err, and the site
+    WaitSite site;           ///< the owner waits here for done
     bool done = false;       ///< body ran to completion (task-written)
-    bool shutdown = false;   ///< worker thread must exit its loop
+    bool shutdown = false;   ///< the task must unwind and end
     std::exception_ptr err;  ///< first exception thrown by the body
+    std::unique_ptr<Fiber> task;  ///< runs the body; made at the first drive
 
     /// Private matching context of the request (bit 63 set; derived from
     /// the communicator's ctx_coll and the per-comm posting order, so it
@@ -48,14 +48,11 @@ struct IcollGate {
 
     std::uint64_t next_rdv_key() { return rdv_ctx + (rdv_seq++ << 40); }
 
-    /// Called from TASK code at a would-block point: hand the turn back to
-    /// the owner and sleep until the next drive(). Throws IcollCancelled
-    /// when the request is being torn down mid-flight.
+    /// Called from TASK code at a would-block point: switch back to the
+    /// owner until the next drive. Throws IcollCancelled when the request
+    /// is being torn down mid-flight.
     void yield() {
-        std::unique_lock<std::mutex> lk(mu);
-        task_turn = false;
-        cv.notify_all();
-        cv.wait(lk, [&] { return task_turn || shutdown; });
+        if (!shutdown) task->suspend();
         if (shutdown) throw IcollCancelled{};
     }
 };

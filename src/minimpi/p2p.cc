@@ -313,6 +313,7 @@ bool iprobe(const Comm& comm, int source, int tag, Status* out) {
         st.source = comm.from_world(st.source);
         *out = st;
     }
+    if (!found) detail::yield_fiber();  // a polling loop must let peers run
     return found;
 }
 
@@ -413,8 +414,8 @@ Status Request::wait() {
         release();
         return st;
     }
-    // detail::block_until: yields under an engine task, drives outstanding
-    // requests in owner context, parks otherwise.
+    // detail::block_until: yields under an engine task, otherwise drives
+    // outstanding requests and parks.
     PostedRecv* const one[] = {recv_.get()};
     ctx_->runtime->transport().wait(ctx_->world_rank, one, ctx_);
     return finish_recv();
@@ -432,6 +433,7 @@ bool Request::test(Status* out) {
         return true;
     }
     if (!ctx_->runtime->transport().test_recv(ctx_->world_rank, recv_.get())) {
+        detail::yield_fiber();  // a polling loop must let peers run
         return false;
     }
     Status st = finish_recv();

@@ -1,10 +1,11 @@
 #include "minimpi/runtime.h"
 
-#include <pthread.h>
-
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <sstream>
+#include <string>
 
 #include "minimpi/error.h"
 #include "trace/recorder.h"
@@ -54,9 +55,8 @@ CommState* Runtime::create_comm(std::vector<int> members_world,
         }
     }
     if (born_revoked) {
-        // Fresh contexts — no waiter can exist yet, so no wake needed.
-        transport_->revoke_ctx(raw->ctx_p2p, false);
-        transport_->revoke_ctx(raw->ctx_coll, false);
+        transport_->revoke_ctx(raw->ctx_p2p);
+        transport_->revoke_ctx(raw->ctx_coll);
     }
     return raw;
 }
@@ -99,44 +99,11 @@ VTime Runtime::one_off_sync_cost(int nranks) const {
     return rounds * (model_.net.alpha_us + 2.0 * model_.net.overhead_us);
 }
 
-namespace {
-
-/// Stack size per rank thread. Large jobs (64 nodes x 24 ranks = 1536
-/// threads) need small stacks; application code keeps big data on the heap.
-constexpr std::size_t kRankStackBytes = 1 << 20;
-
-struct RankThreadArgs {
-    Runtime* runtime;
-    RankCtx* ctx;
-    CommState* world_state;
-    const std::function<void(Comm&)>* rank_main;
-    std::exception_ptr* error_out;
-};
-
-void* rank_thread_entry(void* raw) {
-    auto* args = static_cast<RankThreadArgs*>(raw);
-    try {
-        Comm world(args->world_state, args->ctx, args->ctx->world_rank);
-        (*args->rank_main)(world);
-    } catch (const detail::RankKilled& k) {
-        // Scheduled process failure (FaultPlan kill), not an error: the
-        // thread exits silently and the job keeps running. Survivors observe
-        // the death as ProcessFailedError and run detect–agree–shrink.
-        args->runtime->transport().mark_dead(k.world_rank, k.at);
-    } catch (...) {
-        *args->error_out = std::current_exception();
-        args->runtime->transport().poison(args->ctx->world_rank);
-    }
-    return nullptr;
-}
-
-}  // namespace
-
 std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     const int n = cluster_.total_ranks();
 
-    // Fresh state for this run: a rank thread stuck from a previous failed
-    // run cannot exist (we always join), so replacing the registries is safe.
+    // Fresh state for this run: every fiber of a previous run has finished
+    // (run returns only then), so replacing the registries is safe.
     {
         std::lock_guard<std::mutex> lock(registry_mu_);
         comms_.clear();
@@ -154,8 +121,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
 
     std::vector<RankCtx> ctxs(static_cast<std::size_t>(n));
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-    std::vector<RankThreadArgs> args(static_cast<std::size_t>(n));
-    std::vector<pthread_t> threads(static_cast<std::size_t>(n));
 
     // Span recording is on when the caller asked (RunOptions::spans) or
     // process-wide via HYMPI_TRACE; the sink only receives runs in the
@@ -170,9 +135,11 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     }
 
     // Tuned algorithm selection for this vendor profile (null when the
-    // profile has no table). Resolved once, before the rank threads spawn.
+    // profile has no table). Resolved once, before the ranks start.
     const tuning::DecisionTable* tuned = tuning::find_table(model_.name);
 
+    detail::Scheduler sched;
+    transport_->set_scheduler(&sched);
     for (int i = 0; i < n; ++i) {
         auto& ctx = ctxs[static_cast<std::size_t>(i)];
         ctx.world_rank = i;
@@ -186,33 +153,41 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
             ctx.kill_at = fault_plan_.kill_time(i);
         }
         if (span_trace) ctx.spans = &recorders[static_cast<std::size_t>(i)];
-        args[static_cast<std::size_t>(i)] =
-            RankThreadArgs{this, &ctx, world_state, &rank_main,
-                           &errors[static_cast<std::size_t>(i)]};
+        ctx.fiber = &sched.spawn(i, [&, i] {
+            RankCtx& me = ctxs[static_cast<std::size_t>(i)];
+            try {
+                Comm world(world_state, &me, i);
+                rank_main(world);
+            } catch (const detail::RankKilled& k) {
+                // Scheduled process failure (FaultPlan kill), not an error:
+                // the fiber ends silently and the job keeps running.
+                // Survivors observe the death as ProcessFailedError and run
+                // detect–agree–shrink.
+                transport_->mark_dead(k.world_rank, k.at);
+            } catch (...) {
+                errors[static_cast<std::size_t>(i)] = std::current_exception();
+                transport_->poison(i);
+            }
+        });
     }
 
-    pthread_attr_t attr;
-    pthread_attr_init(&attr);
-    pthread_attr_setstacksize(&attr, kRankStackBytes);
-
-    for (int i = 0; i < n; ++i) {
-        const int rc =
-            pthread_create(&threads[static_cast<std::size_t>(i)], &attr,
-                           rank_thread_entry, &args[static_cast<std::size_t>(i)]);
-        if (rc != 0) {
-            // Join what we started before reporting; without all ranks the
-            // job cannot progress, but started ranks may deadlock waiting
-            // for peers — so this is a hard configuration error we surface
-            // immediately rather than hang. Detach is unsafe; abort.
-            pthread_attr_destroy(&attr);
-            std::terminate();
-        }
-    }
-    pthread_attr_destroy(&attr);
-
-    for (int i = 0; i < n; ++i) {
-        pthread_join(threads[static_cast<std::size_t>(i)], nullptr);
-    }
+    // A stall — every live rank parked, none able to wake another — fails
+    // the run with the wait-for table; the poison unwinds the parked ranks.
+    std::string stall;
+    sched.run(std::clamp(detail::Scheduler::affinity_cpus(), 1, std::max(1, n)),
+              [&](const std::vector<detail::Parked>& parked) {
+                  std::ostringstream os;
+                  os << parked.size() << " of " << n
+                     << " ranks parked with no rank runnable:";
+                  for (const detail::Parked& p : parked) {
+                      os << "\n  rank " << p.rank << " at vclock "
+                         << ctxs[static_cast<std::size_t>(p.rank)].clock.now()
+                         << " us: " << p.at->str();
+                  }
+                  stall = os.str();
+                  transport_->poison(-1);
+              });
+    transport_->set_scheduler(nullptr);
 
     // Prefer the originating error over the JobAborted exceptions raised in
     // ranks that were merely unblocked by the poison.
@@ -228,6 +203,7 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
             std::rethrow_exception(err);
         }
     }
+    if (!stall.empty()) throw StallError(stall);
     if (first_abort) std::rethrow_exception(first_abort);
 
     std::vector<VTime> clocks(static_cast<std::size_t>(n));

@@ -16,7 +16,7 @@
 
 namespace minimpi {
 
-/// Options controlling rank-thread execution.
+/// Options controlling a run.
 struct RunOptions {
     /// Record virtual-time spans and counters (see src/trace); retrieve
     /// with Runtime::last_span_traces after run(). Span recording is also
@@ -30,8 +30,10 @@ struct RunOptions {
     bool span_p2p = false;
 };
 
-/// The simulated MPI job: spawns one thread per rank of the ClusterSpec,
-/// hands each a world communicator, and collects per-rank virtual clocks.
+/// The simulated MPI job: runs one fiber per rank of the ClusterSpec on one
+/// worker thread per CPU of the process's affinity mask (at most one per
+/// rank), hands each rank a world communicator, and collects per-rank
+/// virtual clocks.
 ///
 /// A Runtime can execute several `run` calls sequentially; each run starts
 /// from fresh clocks, transport and communicator state.
@@ -43,10 +45,12 @@ public:
     Runtime(const Runtime&) = delete;
     Runtime& operator=(const Runtime&) = delete;
 
-    /// Execute @p rank_main on every rank (as `rank_main(world)`), join all
-    /// threads, and return the final virtual clock of each rank. The first
-    /// exception thrown by any rank (lowest world rank wins) is rethrown
-    /// after all threads have been joined or released.
+    /// Execute @p rank_main on every rank (as `rank_main(world)`) until
+    /// every rank has finished, and return the final virtual clock of each.
+    /// The first exception thrown by any rank (lowest world rank wins) is
+    /// rethrown once all ranks have ended; JobAborted, which only unblocks
+    /// the other ranks, loses to any other error. When every live rank is
+    /// parked and none can run, the run fails with StallError.
     std::vector<VTime> run(const std::function<void(Comm&)>& rank_main);
 
     /// Per-rank communication counters of the most recent run().

@@ -18,7 +18,7 @@ std::unique_ptr<std::byte[]> Transport::make_payload(const void* src,
     if (mode_ == PayloadMode::SizeOnly || bytes == 0 || src == nullptr) {
         return nullptr;
     }
-    auto copy = std::make_unique<std::byte[]>(bytes);
+    auto copy = std::make_unique_for_overwrite<std::byte[]>(bytes);
     std::memcpy(copy.get(), src, bytes);
     return copy;
 }
@@ -75,7 +75,8 @@ void Transport::deliver(int dst_global, InMsg msg) {
                     dup.bytes = msg.bytes;
                     if (msg.payload) {
                         dup.payload =
-                            std::make_unique<std::byte[]>(msg.bytes);
+                            std::make_unique_for_overwrite<std::byte[]>(
+                                msg.bytes);
                         std::memcpy(dup.payload.get(), msg.payload.get(),
                                     msg.bytes);
                     }
@@ -103,13 +104,13 @@ void Transport::deliver_matched(int dst_global, InMsg msg) {
         if (matches(**it, msg)) {
             complete(*it, msg);
             mb.posted.erase(it);
-            mb.cv.notify_all();
+            mb.site.notify_all();
             return;
         }
     }
     mb.unexpected.push_back(std::move(msg));
     // Probes may be waiting even with no posted receive.
-    mb.cv.notify_all();
+    mb.site.notify_all();
 }
 
 void Transport::post_recv(int me, PostedRecv* r) {
@@ -130,8 +131,12 @@ std::size_t Transport::wait(int me, std::span<PostedRecv* const> rs,
                             const std::function<bool()>& interrupt) {
     Mailbox& mb = box(me);
     std::size_t hit = SIZE_MAX;
+    const detail::WaitDesc at =
+        rs.empty() ? detail::WaitDesc::recv(0, kAnySource, kAnyTag)
+                   : detail::WaitDesc::recv(rs[0]->ctx, rs[0]->src_global,
+                                            rs[0]->tag);
     detail::block_until(
-        detail::Waiter{*this, ctx, me}, mb.mu, mb.cv,
+        detail::Waiter{*this, ctx}, mb.mu, mb.site, at,
         [&] {
             for (std::size_t i = 0; i < rs.size(); ++i) {
                 if (rs[i]->completed) {
@@ -156,7 +161,7 @@ std::size_t Transport::wait(int me, std::span<PostedRecv* const> rs,
 }
 
 void Transport::wake_parked() {
-    for (auto& b : boxes_) b->park.wake();
+    if (sched_ != nullptr) sched_->wake_all();
 }
 
 void Transport::poison(int by_rank) {
@@ -178,7 +183,7 @@ void Transport::mark_dead(int world_rank, VTime at) {
         if (mb.dead.load(std::memory_order_relaxed)) return;
         mb.death_vtime = at;
         mb.dead.store(true, std::memory_order_release);
-        // The dying rank's thread has already unwound: its pending receives
+        // The dying rank's fiber has already unwound: its pending receives
         // point at dead stack frames and its unexpected queue will never be
         // drained — tombstone both sides.
         mb.posted.clear();
@@ -188,7 +193,7 @@ void Transport::mark_dead(int world_rank, VTime at) {
     wake_parked();
 }
 
-void Transport::revoke_ctx(std::uint64_t ctx, bool wake) {
+void Transport::revoke_ctx(std::uint64_t ctx) {
     {
         std::lock_guard<std::mutex> lock(revoked_mu_);
         if (std::find(revoked_.begin(), revoked_.end(), ctx) !=
@@ -198,7 +203,7 @@ void Transport::revoke_ctx(std::uint64_t ctx, bool wake) {
         revoked_.push_back(ctx);
     }
     revoke_count_.fetch_add(1, std::memory_order_release);
-    if (wake) wake_parked();
+    wake_parked();
 }
 
 bool Transport::ctx_revoked(std::uint64_t ctx) const {
@@ -272,8 +277,9 @@ void Transport::probe(int me, std::uint64_t ctx_id, int src_global, int tag,
     key.ctx = ctx_id;
     key.src_global = src_global;
     key.tag = tag;
+    const detail::WaitDesc at = detail::WaitDesc::recv(ctx_id, src_global, tag);
     detail::block_until(
-        detail::Waiter{*this, ctx, me}, mb.mu, mb.cv,
+        detail::Waiter{*this, ctx}, mb.mu, mb.site, at,
         [&] { return find_unexpected(mb, key, out); },
         [&] { return interrupt_of(key); });
 }

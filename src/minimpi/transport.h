@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -97,11 +96,15 @@ public:
 
     /// Attach a deterministic fault plan (non-owning; may be null). Applied
     /// to every subsequent deliver() on a user context. Set before rank
-    /// threads start; the Runtime wires this per run().
+    /// fibers start; the Runtime wires this per run().
     void set_fault_plan(const FaultPlan* plan) { faults_ = plan; }
 
+    /// The scheduler running the ranks (non-owning; null for a bare
+    /// transport): poison, a death and a revocation wake its parked fibers.
+    void set_scheduler(detail::Scheduler* sched) { sched_ = sched; }
+
     /// Deliver a message to @p dst_global: either complete a matching posted
-    /// receive (copying the payload on the sender's thread) or enqueue it as
+    /// receive (copying the payload on the sender's fiber) or enqueue it as
     /// unexpected. `msg.payload` must already be an owned copy.
     void deliver(int dst_global, InMsg msg);
 
@@ -116,8 +119,8 @@ public:
 
     /// Block until ANY of the given pending receives (all owned by @p me)
     /// completes; returns the first completed index in scan order. Goes
-    /// through detail::block_until with @p ctx as the waiter (null: a bare
-    /// transport, which parks and charges no detection latency). A poisoned
+    /// through detail::block_until with @p ctx as the waiter (null: the
+    /// calling fiber parks, and no detection latency is charged). A poisoned
     /// job, a dead source or a revoked context throws after deregistering
     /// every receive; completion always wins. @p interrupt is for waits the
     /// per-receive rules cannot cover — the resilience layer's control-frame
@@ -149,9 +152,6 @@ public:
     /// (diagnostics/tests).
     std::size_t unexpected_count(int me);
 
-    /// Park record of world rank @p rank (see detail::ParkRecord).
-    detail::ParkRecord& park_record(int rank) { return box(rank).park; }
-
     /// Mark the job as aborted by @p by_rank and wake every blocked waiter;
     /// subsequent/pending blocking calls throw JobAborted.
     void poison(int by_rank);
@@ -169,7 +169,7 @@ public:
 
     /// Record the death of @p world_rank at virtual time @p at and wake every
     /// blocked waiter so receives depending on the dead rank can raise
-    /// ProcessFailedError. Called from the dying rank's own thread, after its
+    /// ProcessFailedError. Called from the dying rank's own fiber, after its
     /// last send — so everything it sent before dying is already delivered.
     void mark_dead(int world_rank, VTime at);
 
@@ -188,10 +188,8 @@ public:
     /// Revoke a communicator context: every pending and future wait on it
     /// raises CommRevokedError (except completed receives, which are always
     /// consumed first — a message delivered before the revoke is never lost).
-    /// Wakes every parked rank unless @p wake is false: a comm born revoked
-    /// has no waiter yet, and its creator may hold a rendezvous site's
-    /// mutex, which the wake path would take again.
-    void revoke_ctx(std::uint64_t ctx, bool wake = true);
+    /// Wakes every parked rank.
+    void revoke_ctx(std::uint64_t ctx);
 
     bool any_revoked() const {
         return revoke_count_.load(std::memory_order_acquire) > 0;
@@ -209,13 +207,12 @@ private:
 
     struct Mailbox {
         std::mutex mu;
-        std::condition_variable cv;
+        detail::WaitSite site;  ///< the owner (or its tasks) waiting here
         std::deque<InMsg> unexpected;
         std::list<PostedRecv*> posted;
         /// Process-failure state of the mailbox OWNER (the world rank).
         std::atomic<bool> dead{false};
         VTime death_vtime = 0.0;  ///< written before `dead` is released
-        detail::ParkRecord park;  ///< where the OWNER is parked, if anywhere
     };
 
     static bool matches(const PostedRecv& r, const InMsg& m) {
@@ -250,6 +247,7 @@ private:
 
     PayloadMode mode_;
     const FaultPlan* faults_ = nullptr;
+    detail::Scheduler* sched_ = nullptr;
     std::vector<std::unique_ptr<Mailbox>> boxes_;
 };
 

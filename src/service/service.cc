@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -47,7 +46,7 @@ double u01(std::uint64_t x) {
 /// clocks and digests.
 struct JobSlot {
     std::mutex mu;
-    std::condition_variable cv;
+    minimpi::detail::WaitSite site;  ///< members waiting for the job comm
     minimpi::CommState* child = nullptr;
     int arrived = 0;
     VTime max_clock = 0.0;
@@ -74,13 +73,16 @@ Comm join_job_comm(Runtime& rt, Comm& world, const JobSpec& job, JobSlot& slot,
         slot.max_clock = std::max(slot.max_clock, ctx.clock.now());
         if (++slot.arrived == n) {
             slot.child = rt.create_comm(job.members, &world.state());
-            slot.cv.notify_all();
+            slot.site.notify_all();
         }
     }
     // A peer that aborts never arrives; the poison wakes this wait.
     VTime max_clock = 0.0;
+    const minimpi::detail::WaitDesc at =
+        minimpi::detail::WaitDesc::service_join(
+            job.tenant, static_cast<std::uint64_t>(job.index));
     minimpi::detail::block_until(
-        minimpi::detail::waiter_of(ctx), slot.mu, slot.cv, [&] {
+        minimpi::detail::waiter_of(ctx), slot.mu, slot.site, at, [&] {
             max_clock = slot.max_clock;
             return slot.child != nullptr;
         });

@@ -4,10 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
-#include "minimpi/transport.h"
 #include "minimpi/error.h"
+#include "minimpi/runtime.h"
+#include "minimpi/transport.h"
 
 using namespace minimpi;
 
@@ -172,43 +171,53 @@ TEST(Transport, ProbeDoesNotConsume) {
     EXPECT_EQ(t.unexpected_count(0), 1u);
 }
 
-TEST(Transport, WaitBlocksUntilDelivery) {
-    Transport t(2, PayloadMode::Real);
-    PostedRecv r;
-    r.ctx = 1;
-    r.src_global = 0;
-    r.tag = 0;
-    int out = 0;
-    r.buf = &out;
-    r.capacity = sizeof(int);
-    t.post_recv(1, &r);
+// Blocking waits run on rank fibers: both tests below are rank programs
+// that drive the run's transport directly, on a context no comm uses.
+constexpr std::uint64_t kRawCtx = 1000;
 
-    std::thread producer([&] {
-        const int v = 55;
-        t.deliver(1, make_msg(1, 0, 0, sizeof(int), &v));
+TEST(Transport, WaitBlocksUntilDelivery) {
+    Runtime rt(ClusterSpec::regular(1, 2), ModelParams::test());
+    int out = 0;
+    rt.run([&](Comm& world) {
+        Transport& t = world.ctx().runtime->transport();
+        if (world.rank() == 0) {
+            const int v = 55;
+            t.deliver(1, make_msg(kRawCtx, 0, 0, sizeof(int), &v));
+            return;
+        }
+        PostedRecv r;
+        r.ctx = kRawCtx;
+        r.src_global = 0;
+        r.tag = 0;
+        r.buf = &out;
+        r.capacity = sizeof(int);
+        t.post_recv(1, &r);
+        PostedRecv* const rs[] = {&r};
+        EXPECT_EQ(t.wait(1, rs), 0u);
     });
-    PostedRecv* const rs[] = {&r};
-    EXPECT_EQ(t.wait(1, rs), 0u);
-    producer.join();
     EXPECT_EQ(out, 55);
 }
 
 TEST(Transport, PoisonUnblocksWaiters) {
-    Transport t(2, PayloadMode::Real);
-    PostedRecv r;
-    r.ctx = 1;
-    r.src_global = 0;
-    r.tag = 0;
-    r.buf = nullptr;
-    r.capacity = 0;
-    t.post_recv(1, &r);
-
-    std::thread killer([&] { t.poison(0); });
-    PostedRecv* const rs[] = {&r};
-    EXPECT_THROW(t.wait(1, rs), JobAborted);
-    killer.join();
-    EXPECT_TRUE(t.poisoned());
-    EXPECT_THROW(t.check_poison(), JobAborted);
+    Runtime rt(ClusterSpec::regular(1, 2), ModelParams::test());
+    rt.run([](Comm& world) {
+        Transport& t = world.ctx().runtime->transport();
+        if (world.rank() == 0) {
+            t.poison(0);
+            return;
+        }
+        PostedRecv r;
+        r.ctx = kRawCtx;
+        r.src_global = 0;
+        r.tag = 0;
+        r.buf = nullptr;
+        r.capacity = 0;
+        t.post_recv(1, &r);
+        PostedRecv* const rs[] = {&r};
+        EXPECT_THROW(t.wait(1, rs), JobAborted);
+    });
+    EXPECT_TRUE(rt.transport().poisoned());
+    EXPECT_THROW(rt.transport().check_poison(), JobAborted);
 }
 
 TEST(Transport, CancelRemovesPending) {
