@@ -447,37 +447,6 @@ void wait_all(std::span<Request> reqs) {
     }
 }
 
-int wait_any(std::span<Request> reqs, Status* out) {
-    // Completed sends and already-completed receives win immediately, in
-    // index order (deterministic).
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!reqs[i].valid()) continue;
-        Status st;
-        if (reqs[i].test(&st)) {
-            if (out) *out = st;
-            return static_cast<int>(i);
-        }
-    }
-    // Everything valid is a pending receive: block until one completes.
-    std::vector<PostedRecv*> pending;
-    std::vector<std::size_t> index_of;
-    RankCtx* ctx = nullptr;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (PostedRecv* pr = reqs[i].pending_recv()) {
-            pending.push_back(pr);
-            index_of.push_back(i);
-            ctx = &reqs[i].owner_ctx();
-        }
-    }
-    if (pending.empty()) return -1;
-    const std::size_t idx =
-        index_of[ctx->runtime->transport().wait(ctx->world_rank, pending, ctx)];
-    Status st;
-    reqs[idx].test(&st);  // completed: consumes and charges the clock
-    if (out) *out = st;
-    return static_cast<int>(idx);
-}
-
 PersistentRequest PersistentRequest::send_init(const Comm& comm,
                                                const void* buf,
                                                std::size_t count, Datatype dt,
@@ -524,20 +493,6 @@ void PersistentRequest::start() {
 Status PersistentRequest::wait() {
     if (!active()) throw ArgumentError("wait on an inactive persistent request");
     return inner_.wait();
-}
-
-int test_some(std::span<Request> reqs,
-              std::vector<std::pair<int, Status>>* done) {
-    int n = 0;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!reqs[i].valid()) continue;
-        Status st;
-        if (reqs[i].test(&st)) {
-            if (done) done->emplace_back(static_cast<int>(i), st);
-            ++n;
-        }
-    }
-    return n;
 }
 
 }  // namespace minimpi

@@ -3,7 +3,6 @@
 #include <memory>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "minimpi/comm.h"
 #include "minimpi/transport.h"
@@ -49,13 +48,6 @@ public:
     static Request make_send(const Comm& comm);
     static Request make_recv(const Comm& comm, std::unique_ptr<PostedRecv> r);
 
-    /// @internal wait_any support: the posted receive if this is a pending
-    /// receive request, null otherwise.
-    PostedRecv* pending_recv() const {
-        return (valid() && recv_) ? recv_.get() : nullptr;
-    }
-    RankCtx& owner_ctx() const { return *ctx_; }
-
 private:
     /// Charge the receive completion to the clock and build the Status.
     Status finish_recv();
@@ -70,17 +62,6 @@ private:
 
 /// Wait on every request, in index order (deterministic virtual time).
 void wait_all(std::span<Request> reqs);
-
-/// MPI_Waitany: block until some request completes; returns its index and
-/// fills @p out. Invalid (already consumed) entries are skipped; returns -1
-/// if every entry is invalid. Completion is scanned in index order, so the
-/// choice among simultaneously-complete requests is deterministic.
-int wait_any(std::span<Request> reqs, Status* out = nullptr);
-
-/// MPI_Testsome-flavoured helper: consume every currently-completed
-/// request, appending (index, status) pairs; returns how many completed.
-int test_some(std::span<Request> reqs,
-              std::vector<std::pair<int, Status>>* done);
 
 /// Persistent communication request (MPI_Send_init / MPI_Recv_init /
 /// MPI_Start): a reusable descriptor for a fixed (buffer, peer, tag)

@@ -61,11 +61,6 @@ CommState* Runtime::create_comm(std::vector<int> members_world,
     return raw;
 }
 
-void Runtime::keep_alive(std::shared_ptr<void> resource) {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    resources_.push_back(std::move(resource));
-}
-
 void Runtime::revoke_comm(CommState& st) {
     if (st.revoked.exchange(true, std::memory_order_acq_rel)) return;
     // Revoking the contexts wakes every parked rank, rendezvous waiters on
@@ -107,7 +102,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     {
         std::lock_guard<std::mutex> lock(registry_mu_);
         comms_.clear();
-        resources_.clear();
         shm_alloc_seq_.assign(static_cast<std::size_t>(cluster_.num_nodes()),
                               0);
     }

@@ -92,10 +92,6 @@ public:
     CommState* create_comm(std::vector<int> members_world,
                            CommState* parent = nullptr);
 
-    /// Register an arbitrary job-lifetime resource (shared windows, caches)
-    /// so it is released when the current run's state is torn down.
-    void keep_alive(std::shared_ptr<void> resource);
-
     Transport& transport() { return *transport_; }
 
     /// Deterministic fault/jitter plan applied to every subsequent run()
@@ -138,7 +134,6 @@ private:
 
     std::mutex registry_mu_;
     std::vector<std::unique_ptr<CommState>> comms_;
-    std::vector<std::shared_ptr<void>> resources_;
     std::vector<CommStats> last_stats_;
     std::vector<hympi::RobustStats> last_robust_stats_;
     std::vector<hytrace::RankTrace> last_span_traces_;

@@ -88,7 +88,6 @@ Win win_allocate_shared(const Comm& comm, std::size_t my_bytes) {
                 ws->aligned = static_cast<std::byte*>(
                     std::align(kCacheLine, off, p, space));
             }
-            rt->keep_alive(ws);
             d.state = ws;
         });
 

@@ -17,6 +17,11 @@ namespace minimpi {
 /// i-1's ends (cache-line aligned), as with alloc_shared_noncontig=false.
 /// In SizeOnly payload mode no memory is materialized and base pointers are
 /// null — the control flow and the modelled costs are unchanged.
+///
+/// The members' handles share ownership of the block: it lives while any
+/// member (or a copy of its handle) holds it, and the last handle dropped
+/// frees it, on whichever rank drops it. Pointers from shared_query are
+/// valid only while the caller holds a handle.
 class Win {
 public:
     Win() = default;

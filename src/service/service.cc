@@ -95,8 +95,12 @@ Comm join_job_comm(Runtime& rt, Comm& world, const JobSpec& job, JobSlot& slot,
 /// folding every result buffer into the member's digest in Real mode. The
 /// control flow of modelled operations is payload-mode independent, so
 /// Real (isolation-oracle) and SizeOnly (bench) runs see identical clocks.
+/// @p sendbuf and @p recvbuf belong to the calling rank and outlive the
+/// job, so their capacity carries over from one job to the next; every op
+/// sizes and fills them before use.
 std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
-                      int mpos) {
+                      int mpos, std::vector<std::byte>& sendbuf,
+                      std::vector<std::byte>& recvbuf) {
     const bool real = cfg.payload == PayloadMode::Real;
     const int n = jc.size();
     WordFold digest(WordFold::kOffset ^ mix64(job.seed));
@@ -104,7 +108,6 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
     std::optional<hympi::HierComm> hc;
     std::optional<hympi::AllgatherChannel> chan;
     std::optional<hympi::CollBatcher> batcher;
-    std::vector<std::byte> sendbuf, recvbuf;
 
     // Deferred results of batched ops, folded into the digest in op order
     // at the next drain point (a barrier, a channel allgather, or job end)
@@ -457,6 +460,8 @@ ServiceResult run_service(const ServiceConfig& cfg) {
         // Tenant of the last job this rank executed — the owner of the
         // rank's admission backlog.
         int admit_owner = -2;
+        // The rank's unbatched op buffers, reused by every job it runs.
+        std::vector<std::byte> sendbuf, recvbuf;
         for (std::size_t j = 0; j < schedule.size(); ++j) {
             const JobSpec& job = schedule[j];
             const int mpos = member_pos(job.members, w);
@@ -497,7 +502,8 @@ ServiceResult run_service(const ServiceConfig& cfg) {
                 sp.set_comm(static_cast<int>(job.members.size()), mpos);
                 sp.set_bytes(job.total_bytes());
                 Comm jc = join_job_comm(rt, world, job, slots[j], mpos);
-                const std::uint64_t digest = run_ops(cfg, jc, job, mpos);
+                const std::uint64_t digest =
+                    run_ops(cfg, jc, job, mpos, sendbuf, recvbuf);
                 jc.free();
                 slots[j].finish[static_cast<std::size_t>(mpos)] =
                     ctx.clock.now();

@@ -125,65 +125,6 @@ TEST(Request, TestOnPendingDoesNotConsume) {
     });
 }
 
-TEST(Request, WaitAnyReturnsACompletedIndex) {
-    Runtime rt(ClusterSpec::regular(1, 3), ModelParams::test());
-    rt.run([](Comm& world) {
-        if (world.rank() == 0) {
-            int a = 0, b = 0;
-            std::vector<Request> reqs;
-            reqs.push_back(irecv(world, &a, 1, Datatype::Int32, 1, 0));
-            reqs.push_back(irecv(world, &b, 1, Datatype::Int32, 2, 0));
-            send(world, nullptr, 0, Datatype::Byte, 2, 1);  // release rank 2
-            Status st;
-            const int first = wait_any(reqs, &st);
-            ASSERT_EQ(first, 1) << "only rank 2's message can be in flight";
-            EXPECT_EQ(b, 222);
-            EXPECT_EQ(st.source, 2);
-            send(world, nullptr, 0, Datatype::Byte, 1, 1);  // release rank 1
-            const int second = wait_any(reqs, &st);
-            ASSERT_EQ(second, 0);
-            EXPECT_EQ(a, 111);
-            EXPECT_EQ(wait_any(reqs), -1) << "all requests consumed";
-        } else if (world.rank() == 1) {
-            recv(world, nullptr, 0, Datatype::Byte, 0, 1);
-            send_value(world, 111, 0, 0);
-        } else {
-            recv(world, nullptr, 0, Datatype::Byte, 0, 1);
-            send_value(world, 222, 0, 0);
-        }
-    });
-}
-
-TEST(Request, TestSomeConsumesOnlyCompleted) {
-    Runtime rt(ClusterSpec::regular(1, 2), ModelParams::test());
-    rt.run([](Comm& world) {
-        if (world.rank() == 0) {
-            int a = 0, b = 0;
-            std::vector<Request> reqs;
-            reqs.push_back(irecv(world, &a, 1, Datatype::Int32, 1, 0));
-            reqs.push_back(irecv(world, &b, 1, Datatype::Int32, 1, 99));
-            send(world, nullptr, 0, Datatype::Byte, 1, 1);
-            // Wait until the tag-0 message has landed, then poll.
-            while (!reqs[0].valid() || !reqs[0].test()) {
-                if (!reqs[0].valid()) break;
-            }
-            std::vector<std::pair<int, Status>> done;
-            const int n = test_some(reqs, &done);
-            EXPECT_EQ(n, 0) << "tag-99 never sent, tag-0 already consumed";
-            EXPECT_TRUE(reqs[1].valid());
-            // Tell rank 1 to send the second message, then finish.
-            send(world, nullptr, 0, Datatype::Byte, 1, 2);
-            reqs[1].wait();
-            EXPECT_EQ(b, 7);
-        } else {
-            recv(world, nullptr, 0, Datatype::Byte, 0, 1);
-            send_value(world, 3, 0, 0);
-            recv(world, nullptr, 0, Datatype::Byte, 0, 2);
-            send_value(world, 7, 0, 99);
-        }
-    });
-}
-
 TEST(Request, PersistentSendRecvRounds) {
     Runtime rt(ClusterSpec::regular(2, 1), ModelParams::cray());
     rt.run([](Comm& world) {

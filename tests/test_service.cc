@@ -264,9 +264,12 @@ TEST(ServiceRun, MetricsAreConsistent) {
 }
 
 TEST(ServiceRun, CommChurnIsLeakFree) {
-    // 24 create->use->destroy cycles; ASan (the sanitized CI job) flags any
-    // leaked CommState or cached hierarchy. Host-side assertion: re-running
-    // on the same Runtime-config still works and stays deterministic.
+    // 24 create->use->destroy cycles. LeakSanitizer (the sanitized CI job)
+    // flags memory still unreachable when the process exits, not state the
+    // runtime pins until a run ends and then releases; the window half of
+    // that is Win.DroppedWindowsAreFreedWithinTheRun. Host-side assertion:
+    // re-running on the same Runtime-config still works and stays
+    // deterministic.
     service::ServiceConfig cfg = small_cfg();
     cfg.jobs_per_tenant = 8;
     const service::ServiceResult res = service::run_service(cfg);
@@ -277,6 +280,20 @@ TEST(ServiceRun, PayloadIsolationUnderContention) {
     // The oracle itself: concurrent digests == solo digests, per job.
     service::ServiceConfig cfg = small_cfg();
     cfg.jobs_per_tenant = 3;
+    const std::string err = service::verify_isolation(cfg);
+    EXPECT_EQ(err, "") << err;
+}
+
+TEST(ServiceRun, ReusedRankBuffersKeepIsolation) {
+    // No hybrid jobs and no batching: every multi-node allgather goes
+    // through the rank's send and receive buffers, which keep their
+    // capacity from job to job. A solo run gives each rank a different job
+    // history, hence a different buffer history, so a byte one job leaves
+    // behind for the next shows up as a diverged digest.
+    service::ServiceConfig cfg = small_cfg();
+    cfg.hybrid_fraction = 0.0;
+    cfg.batch_small = false;
+    cfg.large_fraction = 0.5;
     const std::string err = service::verify_isolation(cfg);
     EXPECT_EQ(err, "") << err;
 }

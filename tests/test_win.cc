@@ -1,6 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#if defined(__linux__)
+#include <malloc.h>
+#endif
+
 #include "minimpi/minimpi.h"
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define WIN_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define WIN_TEST_SANITIZED 1
+#endif
+// mallinfo2 reads glibc's own heap; a sanitizer replaces that allocator.
+#if defined(__GLIBC__) && !defined(WIN_TEST_SANITIZED)
+#if __GLIBC_PREREQ(2, 33)
+#define WIN_TEST_MALLINFO2 1
+#endif
+#endif
 
 using namespace minimpi;
 
@@ -110,4 +131,57 @@ TEST(Win, MultipleWindowsCoexist) {
         }
         barrier(world);
     });
+}
+
+TEST(Win, SegmentOutlivesTheAllocatingRanksHandle) {
+    // No registry holds windows: the peers' handles alone keep the leader's
+    // segment alive after the leader has dropped its own.
+    Runtime rt(ClusterSpec::regular(1, 4), ModelParams::test());
+    rt.run([](Comm& world) {
+        constexpr std::size_t kBytes = 4096;
+        const bool leader = world.rank() == 0;
+        Win w = win_allocate_shared(world, leader ? kBytes : 0);
+        if (leader) std::memset(w.my_base(), 0x5a, kBytes);
+        barrier(world);
+        if (leader) w = Win{};
+        barrier(world);
+        if (!leader) {
+            auto [base, size] = w.shared_query(0);
+            ASSERT_EQ(size, kBytes);
+            for (std::size_t i = 0; i < kBytes; ++i) {
+                ASSERT_EQ(base[i], std::byte{0x5a}) << "byte " << i;
+            }
+        }
+        barrier(world);
+    });
+}
+
+TEST(Win, DroppedWindowsAreFreedWithinTheRun) {
+#if !defined(WIN_TEST_MALLINFO2)
+    GTEST_SKIP() << "needs glibc's mallinfo2 and its own malloc";
+#else
+    // 64 allocate/drop cycles of a 1 MiB node window inside one run: the
+    // bytes malloc holds in use afterwards must not grow with the cycles.
+    auto in_use = [] {
+        const struct mallinfo2 mi = mallinfo2();
+        return static_cast<long long>(mi.uordblks + mi.hblkhd);
+    };
+    constexpr std::size_t kBytes = std::size_t{1} << 20;
+    constexpr long long kSlack = 8LL << 20;
+    Runtime rt(ClusterSpec::regular(1, 4), ModelParams::test());
+    long long before = 0, after = 0;
+    rt.run([&](Comm& world) {
+        const bool leader = world.rank() == 0;
+        barrier(world);
+        if (leader) before = in_use();
+        for (int i = 0; i < 64; ++i) {
+            Win w = win_allocate_shared(world, leader ? kBytes : 0);
+            if (leader) std::memset(w.my_base(), i, kBytes);
+        }
+        barrier(world);
+        if (leader) after = in_use();
+    });
+    EXPECT_LT(after - before, kSlack)
+        << "in use before " << before << " B, after " << after << " B";
+#endif
 }
