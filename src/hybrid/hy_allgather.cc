@@ -256,6 +256,11 @@ void AllgatherChannel::bridge_exchange(BridgeAlgo algo) {
             const int left = (br - 1 + bp) % bp;
             const int right = (br + 1) % bp;
             constexpr int tag = minimpi::detail::kTagHier + 0x10;
+            // Round k sends, segment by segment, the block round k - 1
+            // received with the same segmentation; this leader alone writes
+            // that block's slice of the shared buffer, so its segments go
+            // on as received.
+            std::vector<minimpi::Payload> fwd, kept;
             for (int k = 0; k < bp - 1; ++k) {
                 const int send_blk = (br - k + bp) % bp;
                 const int recv_blk = (br - k - 1 + bp) % bp;
@@ -269,18 +274,24 @@ void AllgatherChannel::bridge_exchange(BridgeAlgo algo) {
                     bridge_counts_[static_cast<std::size_t>(send_blk)];
                 const std::size_t recv_len =
                     bridge_counts_[static_cast<std::size_t>(recv_blk)];
+                fwd.swap(kept);
+                fwd.resize(ns);
+                kept.assign(nr, nullptr);
                 for (std::size_t s = 0; s < std::max(ns, nr); ++s) {
                     if (s < ns) {
                         const std::size_t o = s * seg;
-                        minimpi::detail::send_bytes(
+                        minimpi::detail::send_payload(
                             bridge, buf_.at(send_off + o),
-                            std::min(seg, send_len - o), right, tag, true);
+                            std::min(seg, send_len - o), right, tag, true,
+                            fwd[s]);
                     }
                     if (s < nr) {
                         const std::size_t o = s * seg;
-                        minimpi::detail::recv_bytes(
+                        minimpi::Request rr = minimpi::detail::irecv_keep(
                             bridge, buf_.at(recv_off + o),
                             std::min(seg, recv_len - o), left, tag, true);
+                        rr.wait();
+                        kept[s] = rr.take_payload();
                     }
                 }
             }
@@ -361,21 +372,26 @@ void AllgatherChannel::bridge_exchange(BridgeAlgo algo) {
                 return bridge_counts_[static_cast<std::size_t>(b)] +
                        bridge_counts_[static_cast<std::size_t>(b + 1)];
             };
+            // Round 1 sends this leader's pair (its own block and round 0's)
+            // from the buffer; each later round forwards the pair payload
+            // received in the round before, which nothing writes meanwhile.
             int send_pair = even ? br : neighbor[0];
+            minimpi::Payload fwd;
             for (int i = 1; i < bp / 2; ++i) {
                 const int j = i % 2;
                 recv_from[j] = (recv_from[j] + offset[j]) % bp;
                 const int rp = recv_from[j];
-                minimpi::Request rr = minimpi::detail::irecv_bytes(
+                minimpi::Request rr = minimpi::detail::irecv_keep(
                     bridge,
                     buf_.at(bridge_displs_[static_cast<std::size_t>(rp)]),
                     pair_len(rp), neighbor[j], tag + i, true);
-                minimpi::detail::send_bytes(
+                minimpi::detail::send_payload(
                     bridge,
                     buf_.at(bridge_displs_[static_cast<std::size_t>(
                         send_pair)]),
-                    pair_len(send_pair), neighbor[j], tag + i, true);
+                    pair_len(send_pair), neighbor[j], tag + i, true, fwd);
                 rr.wait();
+                fwd = rr.take_payload();
                 send_pair = rp;
             }
             return;

@@ -155,11 +155,17 @@ void bcast_binomial(const Comm& comm, void* buf, std::size_t bytes, int root) {
     if (p == 1) return;
     const int vrank = (comm.rank() - root + p) % p;
 
+    // Every child gets one payload: the one this rank received, or the
+    // root's single copy of buf. Nothing writes buf between the receive and
+    // the sends, so it holds exactly those bytes.
+    Payload payload;
     int mask = 1;
     while (mask < p) {
         if (vrank & mask) {
             const int src = (vrank - mask + root) % p;
-            recv_bytes(comm, buf, bytes, src, kTagBcast, true);
+            Request rr = irecv_keep(comm, buf, bytes, src, kTagBcast, true);
+            rr.wait();
+            payload = rr.take_payload();
             break;
         }
         mask <<= 1;
@@ -168,7 +174,7 @@ void bcast_binomial(const Comm& comm, void* buf, std::size_t bytes, int root) {
     while (mask > 0) {
         if (vrank + mask < p) {
             const int dst = (vrank + mask + root) % p;
-            send_bytes(comm, buf, bytes, dst, kTagBcast, true);
+            send_payload(comm, buf, bytes, dst, kTagBcast, true, payload);
         }
         mask >>= 1;
     }
@@ -195,11 +201,17 @@ void bcast_pipelined_chain(const Comm& comm, void* buf, std::size_t bytes,
     for (std::size_t s = 0; s < std::max<std::size_t>(nseg, 1); ++s) {
         const std::size_t off = s * kSegment;
         const std::size_t len = std::min(kSegment, bytes - off);
+        // A middle rank forwards the segment it just received: nothing
+        // writes it in between.
+        Payload seg;
         if (prev != kProcNull) {
-            recv_bytes(comm, at(buf, off), len, prev, kTagBcast, true);
+            Request rr =
+                irecv_keep(comm, at(buf, off), len, prev, kTagBcast, true);
+            rr.wait();
+            seg = rr.take_payload();
         }
         if (next != kProcNull) {
-            send_bytes(comm, at(buf, off), len, next, kTagBcast, true);
+            send_payload(comm, at(buf, off), len, next, kTagBcast, true, seg);
         }
     }
 }

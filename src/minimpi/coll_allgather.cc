@@ -87,15 +87,20 @@ void allgather_ring(const Comm& comm, const void* sendbuf, void* recvbuf,
     }
     const int left = (r - 1 + p) % p;
     const int right = (r + 1) % p;
+    // The block received in step k is the block sent in step k + 1, and
+    // nothing writes it in between: forward its payload.
+    Payload fwd;
     for (int k = 0; k < p - 1; ++k) {
         const int send_idx = (r - k + p) % p;
         const int recv_idx = (r - k - 1 + p) % p;
-        Request rr = irecv_bytes(
+        Request rr = irecv_keep(
             comm, at(recvbuf, static_cast<std::size_t>(recv_idx) * bb), bb,
             left, kTagAllgather, true);
-        send_bytes(comm, at(recvbuf, static_cast<std::size_t>(send_idx) * bb),
-                   bb, right, kTagAllgather, true);
+        send_payload(comm,
+                     at(recvbuf, static_cast<std::size_t>(send_idx) * bb), bb,
+                     right, kTagAllgather, true, fwd);
         rr.wait();
+        fwd = rr.take_payload();
     }
 }
 
@@ -123,19 +128,22 @@ void allgatherv_ring(const Comm& comm, const void* sendbuf,
     const VTime vec_penalty =
         (ctx.model->vector_coll_alpha_factor - 1.0) * l.alpha_us;
 
+    // As in allgather_ring: step k + 1 forwards the block step k received.
+    Payload fwd;
     for (int k = 0; k < p - 1; ++k) {
         const int send_idx = (r - k + p) % p;
         const int recv_idx = (r - k - 1 + p) % p;
         ctx.vck().advance(vec_penalty);
-        Request rr = irecv_bytes(
+        Request rr = irecv_keep(
             comm, at(recvbuf, displs_bytes[static_cast<std::size_t>(recv_idx)]),
             counts_bytes[static_cast<std::size_t>(recv_idx)], left,
             kTagAllgatherv, true);
-        send_bytes(comm,
-                   at(recvbuf, displs_bytes[static_cast<std::size_t>(send_idx)]),
-                   counts_bytes[static_cast<std::size_t>(send_idx)], right,
-                   kTagAllgatherv, true);
+        send_payload(
+            comm, at(recvbuf, displs_bytes[static_cast<std::size_t>(send_idx)]),
+            counts_bytes[static_cast<std::size_t>(send_idx)], right,
+            kTagAllgatherv, true, fwd);
         rr.wait();
+        fwd = rr.take_payload();
     }
 }
 

@@ -64,13 +64,19 @@ std::uint64_t match_ctx(const Comm& comm, bool coll_ctx) {
 /// optional p2p span (named @p span), updates CommStats,
 /// queues the bytes on the link and hands the message to the transport.
 ///
+/// The payload is a copy of the @p bytes at @p buf, unless @p fwd is given:
+/// a set *@p fwd is sent as it is (it holds those bytes, see
+/// detail::send_payload), and an empty one receives the copy made here so
+/// the caller's next send of the same bytes can reuse it. No charge depends
+/// on which way the bytes came.
+///
 /// Clock invariant: all traffic charges vck() and queues on cur_busy.
 /// Frames (detail::send_frame) are only ever sent in owner context — robust
 /// rounds complete at post (HybridRound::start), so no frame is sent under
 /// an engine task — where vck() is ctx.clock and cur_busy points at
 /// ctx.link_busy_until, the objects the frame protocol reads directly.
 void post_send(RankCtx& ctx, int dst_world, const void* buf, InMsg msg,
-               const char* span) {
+               const char* span, Payload* fwd = nullptr) {
     const LinkParams& link = ctx.link_to(dst_world);
     const bool same_node = ctx.cluster->same_node(ctx.world_rank, dst_world);
     const std::size_t bytes = msg.bytes;
@@ -124,7 +130,12 @@ void post_send(RankCtx& ctx, int dst_world, const void* buf, InMsg msg,
     }
 
     msg.src_global = ctx.world_rank;
-    msg.payload = ctx.runtime->transport().make_payload(buf, bytes);
+    if (fwd != nullptr && *fwd) {
+        msg.payload = *fwd;
+    } else {
+        msg.payload = ctx.runtime->transport().make_payload(buf, bytes);
+        if (fwd != nullptr) *fwd = msg.payload;
+    }
     msg.arrival = start + transfer + link.alpha_us;
     msg.recv_overhead = link.overhead_us;
     // The side band is fault-exempt and must not consume from the
@@ -152,6 +163,20 @@ void charge_recv(RankCtx& ctx, const PostedRecv& pr, const char* span) {
     }
     ctx.stats.msgs_received += 1;
     ctx.stats.bytes_received += pr.msg_bytes;
+}
+
+/// send_bytes and send_payload: a send on @p comm's user or collective
+/// context, after the open-comm checks.
+void send_checked(const Comm& comm, const void* buf, std::size_t bytes,
+                  int dest, int tag, bool coll_ctx, Payload* fwd) {
+    if (dest == kProcNull) return;
+    check_open(comm, "send");
+    InMsg msg;
+    msg.ctx = match_ctx(comm, coll_ctx);
+    msg.tag = tag;
+    msg.bytes = bytes;
+    post_send(comm.ctx(), comm.to_world(dest), buf, std::move(msg), "send",
+              fwd);
 }
 
 }  // namespace
@@ -185,13 +210,12 @@ VTime tenant_bridge_start(TenantState& ts, VTime now, std::size_t bytes) {
 
 void send_bytes(const Comm& comm, const void* buf, std::size_t bytes, int dest,
                 int tag, bool coll_ctx) {
-    if (dest == kProcNull) return;
-    check_open(comm, "send");
-    InMsg msg;
-    msg.ctx = match_ctx(comm, coll_ctx);
-    msg.tag = tag;
-    msg.bytes = bytes;
-    post_send(comm.ctx(), comm.to_world(dest), buf, std::move(msg), "send");
+    send_checked(comm, buf, bytes, dest, tag, coll_ctx, nullptr);
+}
+
+void send_payload(const Comm& comm, const void* buf, std::size_t bytes,
+                  int dest, int tag, bool coll_ctx, Payload& payload) {
+    send_checked(comm, buf, bytes, dest, tag, coll_ctx, &payload);
 }
 
 Request irecv_bytes(const Comm& comm, void* buf, std::size_t bytes, int source,
@@ -201,10 +225,17 @@ Request irecv_bytes(const Comm& comm, void* buf, std::size_t bytes, int source,
                            match_ctx(comm, coll_ctx));
 }
 
+Request irecv_keep(const Comm& comm, void* buf, std::size_t bytes, int source,
+                   int tag, bool coll_ctx) {
+    check_open(comm, "receive");
+    return irecv_bytes_ctx(comm, buf, bytes, source, tag,
+                           match_ctx(comm, coll_ctx), true);
+}
+
 Request irecv_bytes_ctx(const Comm& comm, void* buf, std::size_t bytes,
-                        int source, int tag, std::uint64_t ctx_id) {
+                        int source, int tag, std::uint64_t ctx_id, bool keep) {
     auto posted = std::make_unique<PostedRecv>();
-    post_frame_recv(comm, posted.get(), buf, bytes, source, tag, ctx_id);
+    post_frame_recv(comm, posted.get(), buf, bytes, source, tag, ctx_id, keep);
     return Request::make_recv(comm, std::move(posted));
 }
 
@@ -238,7 +269,7 @@ void send_frame(const Comm& comm, const void* buf, std::size_t bytes, int dest,
 
 void post_frame_recv(const Comm& comm, PostedRecv* pr, void* buf,
                      std::size_t bytes, int source, int tag,
-                     std::uint64_t ctx_id) {
+                     std::uint64_t ctx_id, bool keep) {
     RankCtx& ctx = comm.ctx();
     check_alive(ctx);
     *pr = PostedRecv{};
@@ -248,6 +279,7 @@ void post_frame_recv(const Comm& comm, PostedRecv* pr, void* buf,
     pr->tag = tag;
     pr->buf = buf;
     pr->capacity = bytes;
+    pr->keep = keep;
     ctx.runtime->transport().post_recv(ctx.world_rank, pr);
 }
 
@@ -340,6 +372,7 @@ Request& Request::operator=(Request&& other) noexcept {
         ctx_ = other.ctx_;
         state_ = other.state_;
         recv_ = std::move(other.recv_);
+        kept_ = std::move(other.kept_);
         done_ = other.done_;
         done_status_ = other.done_status_;
         other.ctx_ = nullptr;
@@ -397,6 +430,7 @@ Status Request::finish_recv() {
     st.bytes = pr.msg_bytes;
     done_ = true;
     done_status_ = st;
+    kept_ = std::move(pr.kept);
     release();
     return st;
 }

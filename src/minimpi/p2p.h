@@ -61,13 +61,36 @@ Request isend_bytes(const Comm& comm, const void* buf, std::size_t bytes,
 Request irecv_bytes(const Comm& comm, void* buf, std::size_t bytes, int source,
                     int tag, bool coll_ctx);
 
+/// Forwarding. A rank whose next send is exactly the bytes it just received
+/// (a broadcast parent, a pipeline or ring stage) sends the received payload
+/// on instead of copying the bytes again: it receives with irecv_keep, takes
+/// the payload with Request::take_payload() and passes it to send_payload.
+/// Each call site states why nothing writes those bytes between the receive
+/// and the send. Virtual time, statistics and fault injection are those of
+/// irecv_bytes and send_bytes: no charge depends on how the host holds the
+/// bytes.
+///
+/// send_payload: send_bytes that sends @p payload as it is when it is set;
+/// when it is empty, the @p bytes at @p buf are copied into a new payload,
+/// which is handed back in @p payload, so a root that sends the same bytes
+/// to several children copies once. A set @p payload must hold exactly the
+/// @p bytes at @p buf.
+void send_payload(const Comm& comm, const void* buf, std::size_t bytes,
+                  int dest, int tag, bool coll_ctx, Payload& payload);
+
+/// irecv_bytes whose receive keeps the delivered payload (PostedRecv::keep).
+Request irecv_keep(const Comm& comm, void* buf, std::size_t bytes, int source,
+                   int tag, bool coll_ctx);
+
 /// Like irecv_bytes but on an explicit matching context, for protocol
 /// traffic that must pair across two different engine tasks (each task's
 /// gate overrides the collective context with its own private one, so the
 /// implicit selection above cannot reach a peer task's stream). The caller
-/// guarantees both sides derive the same @p ctx_id.
+/// guarantees both sides derive the same @p ctx_id. @p keep as in
+/// PostedRecv::keep.
 Request irecv_bytes_ctx(const Comm& comm, void* buf, std::size_t bytes,
-                        int source, int tag, std::uint64_t ctx_id);
+                        int source, int tag, std::uint64_t ctx_id,
+                        bool keep = false);
 
 /// Frame primitives for the resilience layer (src/robust). They bypass the
 /// Request machinery so the caller can tolerate tombstoned (dropped)
@@ -86,7 +109,7 @@ void send_frame(const Comm& comm, const void* buf, std::size_t bytes, int dest,
 /// the p2p layer's one receive post: irecv_bytes_ctx goes through it too.
 void post_frame_recv(const Comm& comm, PostedRecv* pr, void* buf,
                      std::size_t bytes, int source, int tag,
-                     std::uint64_t ctx_id);
+                     std::uint64_t ctx_id, bool keep = false);
 
 /// Delivery state of a completed frame receive.
 struct FrameRecvResult {

@@ -20,6 +20,7 @@ public:
         : ctx_(other.ctx_),
           state_(other.state_),
           recv_(std::move(other.recv_)),
+          kept_(std::move(other.kept_)),
           done_(other.done_),
           done_status_(other.done_status_) {
         other.ctx_ = nullptr;
@@ -44,6 +45,11 @@ public:
     /// reports the cached status.
     bool test(Status* out = nullptr);
 
+    /// @internal The payload a completed detail::irecv_keep receive kept
+    /// (empty when nothing was kept: SizeOnly mode, zero bytes, a short
+    /// message); moves it out.
+    Payload take_payload() { return std::move(kept_); }
+
     /// @internal factories used by the p2p layer.
     static Request make_send(const Comm& comm);
     static Request make_recv(const Comm& comm, std::unique_ptr<PostedRecv> r);
@@ -56,6 +62,7 @@ private:
     RankCtx* ctx_ = nullptr;
     CommState* state_ = nullptr;
     std::unique_ptr<PostedRecv> recv_;  ///< null for send requests
+    Payload kept_;                      ///< see take_payload()
     bool done_ = false;   ///< completed at least once (status cached)
     Status done_status_;  ///< status of the completed operation
 };

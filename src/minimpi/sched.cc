@@ -32,10 +32,9 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 #if !defined(__x86_64__)
-#include <ucontext.h>
+#error "minimpi fibers switch stacks with x86-64 assembly only"
 #endif
 
-#if defined(__x86_64__)
 // hympi_switch_stack(save, load): push the callee-saved registers and the
 // SSE/x87 control words on the current stack, store the stack pointer to
 // *save, load `load` as the stack pointer and pop the same frame from it.
@@ -83,7 +82,6 @@ hympi_fiber_start:
     ud2
     .size hympi_fiber_start,.-hympi_fiber_start
 )");
-#endif
 
 namespace minimpi::detail {
 
@@ -170,11 +168,7 @@ void release_stack(const Stack& s) {
 }  // namespace
 
 struct Context {
-#if defined(__x86_64__)
     void* sp = nullptr;
-#else
-    ucontext_t uc;
-#endif
     EhState eh;
 #if defined(__SANITIZE_ADDRESS__)
     const void* stack_bottom = nullptr;
@@ -203,11 +197,7 @@ namespace {
 #if defined(__SANITIZE_THREAD__)
     __tsan_switch_to_fiber(to.tsan, 0);
 #endif
-#if defined(__x86_64__)
     hympi_switch_stack(&from.sp, to.sp);
-#else
-    swapcontext(&from.uc, &to.uc);
-#endif
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -230,14 +220,6 @@ void native_stack(Context& c) {
     }
     c.stack_bottom = bottom;
     c.stack_size = size;
-}
-#endif
-
-#if !defined(__x86_64__)
-void ucontext_entry(unsigned hi, unsigned lo) {
-    const std::uintptr_t p =
-        (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
-    Fiber::entry(reinterpret_cast<Fiber*>(p));
 }
 #endif
 
@@ -309,7 +291,6 @@ Fiber::Fiber(std::function<void()> fn, Scheduler* sched, int rank)
       self_(std::make_unique<Context>()),
       sched_(sched),
       rank_(rank) {
-#if defined(__x86_64__)
     const std::uintptr_t top =
         reinterpret_cast<std::uintptr_t>(stack_.base + stack_.size) &
         ~std::uintptr_t{15};
@@ -326,16 +307,6 @@ Fiber::Fiber(std::function<void()> fn, Scheduler* sched, int rank)
     frame[6] = 0;
     frame[7] = reinterpret_cast<std::uint64_t>(&hympi_fiber_start);
     self_->sp = frame;
-#else
-    getcontext(&self_->uc);
-    self_->uc.uc_stack.ss_sp = stack_.base;
-    self_->uc.uc_stack.ss_size = stack_.size;
-    self_->uc.uc_link = nullptr;
-    const auto p = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&self_->uc, reinterpret_cast<void (*)()>(&ucontext_entry), 2,
-                static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xFFFFFFFFu));
-#endif
 #if defined(__SANITIZE_ADDRESS__)
     self_->stack_bottom = stack_.base;
     self_->stack_size = stack_.size;

@@ -12,9 +12,10 @@
 /// The execution substrate of a run: every rank, and every nonblocking-
 /// collective task, is a fiber in one address space. A fiber runs on its own
 /// cached 1 MiB stack (with a guard page) and is switched by a hand-rolled
-/// x86-64 context switch (ucontext elsewhere). Runtime::run hands the rank
-/// fibers to a Scheduler whose K worker threads (K = CPUs in the process's
-/// affinity mask, at most one per rank) take them from one FIFO ready queue.
+/// x86-64 context switch, the only one (sched.cc stops at an #error on other
+/// architectures). Runtime::run hands the rank fibers to a Scheduler whose
+/// K worker threads (K = CPUs in the process's affinity mask, at most one
+/// per rank) take them from one FIFO ready queue.
 ///
 /// Virtual time decides every result (DESIGN.md §2), so the host order in
 /// which fibers run is free; the scheduler only has to run every fiber that

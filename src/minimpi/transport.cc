@@ -13,17 +13,16 @@ Transport::Transport(int nranks, PayloadMode mode) : mode_(mode) {
     }
 }
 
-std::unique_ptr<std::byte[]> Transport::make_payload(const void* src,
-                                                     std::size_t bytes) const {
+Payload Transport::make_payload(const void* src, std::size_t bytes) const {
     if (mode_ == PayloadMode::SizeOnly || bytes == 0 || src == nullptr) {
         return nullptr;
     }
-    auto copy = std::make_unique_for_overwrite<std::byte[]>(bytes);
+    auto copy = std::make_shared_for_overwrite<std::byte[]>(bytes);
     std::memcpy(copy.get(), src, bytes);
     return copy;
 }
 
-void Transport::complete(PostedRecv* r, const InMsg& m) {
+void Transport::complete(PostedRecv* r, InMsg& m) {
     r->msg_bytes = m.bytes;
     r->matched_src = m.src_global;
     r->matched_tag = m.tag;
@@ -34,6 +33,9 @@ void Transport::complete(PostedRecv* r, const InMsg& m) {
         r->truncated = true;
     } else if (m.payload && r->buf) {
         std::memcpy(r->buf, m.payload.get(), m.bytes);
+    }
+    if (r->keep && m.bytes == r->capacity && !m.dropped) {
+        r->kept = std::move(m.payload);
     }
     r->completed = true;
 }
@@ -63,9 +65,15 @@ void Transport::deliver(int dst_global, InMsg msg) {
                 if (msg.payload && msg.bytes > 0 &&
                     faults_->should_corrupt(msg.src_global, dst_global,
                                             msg.fault_seq)) {
-                    msg.payload[faults_->corrupt_byte(
-                        msg.src_global, dst_global, msg.fault_seq,
-                        msg.bytes)] ^= std::byte{0x40};
+                    // Copy on write: the payload may also travel to other
+                    // receivers or be kept by the sender for its next send.
+                    auto bad =
+                        std::make_shared_for_overwrite<std::byte[]>(msg.bytes);
+                    std::memcpy(bad.get(), msg.payload.get(), msg.bytes);
+                    bad[faults_->corrupt_byte(msg.src_global, dst_global,
+                                              msg.fault_seq, msg.bytes)] ^=
+                        std::byte{0x40};
+                    msg.payload = std::move(bad);
                 }
                 if (faults_->should_dup(msg.src_global, dst_global,
                                         msg.fault_seq)) {
@@ -73,13 +81,7 @@ void Transport::deliver(int dst_global, InMsg msg) {
                     dup.src_global = msg.src_global;
                     dup.tag = msg.tag;
                     dup.bytes = msg.bytes;
-                    if (msg.payload) {
-                        dup.payload =
-                            std::make_unique_for_overwrite<std::byte[]>(
-                                msg.bytes);
-                        std::memcpy(dup.payload.get(), msg.payload.get(),
-                                    msg.bytes);
-                    }
+                    dup.payload = msg.payload;
                     dup.arrival = msg.arrival + faults_->dup_delay_us;
                     dup.recv_overhead = msg.recv_overhead;
                     dup.fault_seq = msg.fault_seq;

@@ -16,16 +16,23 @@
 
 namespace minimpi {
 
-/// A message in flight (or sitting in the unexpected queue). Payload is an
-/// owned eager copy; it is absent in SizeOnly mode or for zero-byte messages.
-/// `arrival` and `recv_overhead` carry the modelled timing computed by the
-/// sender, which knows the link class.
+/// The bytes of a message: one immutable buffer, shared by every holder.
+/// The sender's eager copy is one allocation (make_shared_for_overwrite);
+/// a forwarding rank sends the payload it received on as it is, and a root
+/// sends one payload to all its children. Nothing writes a payload after
+/// it is made: fault injection clones before it corrupts (copy on write).
+using Payload = std::shared_ptr<const std::byte[]>;
+
+/// A message in flight (or sitting in the unexpected queue). The payload is
+/// absent in SizeOnly mode or for zero-byte messages. `arrival` and
+/// `recv_overhead` carry the modelled timing computed by the sender, which
+/// knows the link class.
 struct InMsg {
     std::uint64_t ctx = 0;  ///< communicator context id
     int src_global = -1;    ///< sender's WORLD rank (translated by the p2p layer)
     int tag = 0;
     std::size_t bytes = 0;
-    std::unique_ptr<std::byte[]> payload;
+    Payload payload;
     VTime arrival = 0.0;        ///< modelled time the message reaches the dest
     VTime recv_overhead = 0.0;  ///< CPU overhead the receiver pays on match
 
@@ -67,6 +74,10 @@ struct PostedRecv {
     int tag = kAnyTag;
     void* buf = nullptr;
     std::size_t capacity = 0;
+    /// Retain the matched payload in `kept` (besides copying it to `buf`),
+    /// so the receiver can send the same bytes on without copying them
+    /// again. Only an exact-size match that is not a tombstone is kept.
+    bool keep = false;
 
     bool completed = false;
     bool truncated = false;   ///< matched message exceeded `capacity`
@@ -76,6 +87,7 @@ struct PostedRecv {
     int matched_tag = 0;
     VTime arrival = 0.0;
     VTime recv_overhead = 0.0;
+    Payload kept;  ///< the delivered payload, when `keep` applied
 };
 
 /// Point-to-point matching engine: one mailbox per world rank, with MPI
@@ -83,8 +95,9 @@ struct PostedRecv {
 /// (non-overtaking), an unexpected-message queue and a posted-receive queue.
 ///
 /// All sends are eager and buffered: the sender copies the payload (Real
-/// mode), delivers, and returns; there is no rendezvous. This preserves the
-/// standard's buffered-send semantics and cannot deadlock on send.
+/// mode) or forwards one it holds, delivers, and returns; there is no
+/// rendezvous. This preserves the standard's buffered-send semantics and
+/// cannot deadlock on send.
 class Transport {
 public:
     Transport(int nranks, PayloadMode mode);
@@ -105,13 +118,13 @@ public:
 
     /// Deliver a message to @p dst_global: either complete a matching posted
     /// receive (copying the payload on the sender's fiber) or enqueue it as
-    /// unexpected. `msg.payload` must already be an owned copy.
+    /// unexpected. `msg.payload` may be shared with other messages.
     void deliver(int dst_global, InMsg msg);
 
-    /// Convenience for the sending side: build the owned payload copy
-    /// according to the payload mode. `src` may be null in SizeOnly mode.
-    std::unique_ptr<std::byte[]> make_payload(const void* src,
-                                              std::size_t bytes) const;
+    /// Convenience for the sending side: copy @p bytes at @p src into a new
+    /// payload according to the payload mode. `src` may be null in SizeOnly
+    /// mode.
+    Payload make_payload(const void* src, std::size_t bytes) const;
 
     /// Register @p r in @p me's mailbox; if an unexpected message already
     /// matches, complete immediately.
@@ -221,9 +234,10 @@ private:
                (r.tag == kAnyTag || r.tag == m.tag);
     }
 
-    /// Fill completion fields of @p r from @p m and copy the payload.
+    /// Fill completion fields of @p r from @p m, copy the payload and keep
+    /// it when @p r asks to (moved out: @p m is dropped after the match).
     /// Caller holds the mailbox lock.
-    static void complete(PostedRecv* r, const InMsg& m);
+    static void complete(PostedRecv* r, InMsg& m);
 
     /// Post-fault delivery: match against posted receives or enqueue as
     /// unexpected. Split from deliver() so an injected duplicate is not

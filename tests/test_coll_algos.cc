@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "minimpi/coll_internal.h"
@@ -327,4 +329,190 @@ TEST(CollAlgos, HierarchicalMatchesFlatForAllCollectives) {
     EXPECT_EQ(hier.reduce, flat.reduce);
     EXPECT_EQ(hier.allreduce, flat.allreduce);
     EXPECT_EQ(hier.allgatherv, flat.allgatherv);
+}
+
+// ---- forwarded payloads under payload corruption ------------------------------
+//
+// bcast_binomial, bcast_pipelined_chain and the two rings forward the payload
+// a rank received instead of copying its bytes again. A corrupted delivery
+// must still behave as a copy: the flipped byte reaches the corrupted
+// receiver and every rank downstream of it, and no sibling.
+
+namespace {
+
+/// One message of a collective: WORLD ranks, the sender's per-destination
+/// message index (FaultPlan keys) and where its bytes land in the result.
+struct Edge {
+    int src = 0, dst = 0;
+    std::uint64_t seq = 0;
+    std::size_t off = 0, len = 0;  ///< byte range of the result it carries
+};
+
+/// A plan that corrupts exactly one of @p edges; returns it and the index.
+std::pair<FaultPlan, std::size_t> corrupt_one(const std::vector<Edge>& edges) {
+    FaultPlan plan;
+    plan.corrupt_every = 16;
+    plan.scope = FaultScope::AllTraffic;
+    for (plan.seed = 1;; ++plan.seed) {
+        std::size_t hits = 0, hit = 0;
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            if (plan.should_corrupt(edges[i].src, edges[i].dst, edges[i].seq)) {
+                ++hits;
+                hit = i;
+            }
+        }
+        if (hits == 1) return {plan, hit};
+    }
+}
+
+/// An irregular communicator: the world of a {3, 1, 4, 2} cluster without
+/// world rank 4, in reverse order (comm rank != world rank).
+constexpr int kForwardP = 9;
+int fwd_world(int comm_rank) {
+    static constexpr int w[kForwardP] = {9, 8, 7, 6, 5, 3, 2, 1, 0};
+    return w[comm_rank];
+}
+
+std::byte pattern(std::size_t i) { return static_cast<std::byte>(i * 13 + 5); }
+
+/// Run @p body on the irregular comm under @p plan and check each comm
+/// rank's @p total-byte result against the pattern, flipped where
+/// @p corrupted(rank) says the corrupted edge's byte lands.
+void run_forwarding_case(
+    const FaultPlan& plan, std::size_t total,
+    const std::function<void(const Comm&, std::vector<std::byte>&)>& body,
+    const Edge& bad_edge, const std::function<bool(int)>& downstream) {
+    Runtime rt(ClusterSpec::irregular({3, 1, 4, 2}), ModelParams::test());
+    rt.set_fault_plan(plan);
+    const std::size_t bad = bad_edge.off + plan.corrupt_byte(bad_edge.src,
+                                                            bad_edge.dst,
+                                                            bad_edge.seq,
+                                                            bad_edge.len);
+    std::vector<std::vector<std::byte>> got(kForwardP);
+    rt.run([&](Comm& world) {
+        const Comm c = world.split(world.rank() == 4 ? kUndefined : 0,
+                                   -world.rank());
+        if (!c.valid()) return;
+        ASSERT_EQ(c.size(), kForwardP);
+        ASSERT_EQ(c.to_world(), fwd_world(c.rank()));
+        std::vector<std::byte> buf(total);
+        body(c, buf);
+        got[static_cast<std::size_t>(c.rank())] = std::move(buf);
+    });
+    for (int r = 0; r < kForwardP; ++r) {
+        const auto& g = got[static_cast<std::size_t>(r)];
+        ASSERT_EQ(g.size(), total);
+        for (std::size_t i = 0; i < total; ++i) {
+            const bool flip = i == bad && downstream(r);
+            EXPECT_EQ(g[i], flip ? (pattern(i) ^ std::byte{0x40}) : pattern(i))
+                << "rank " << r << " byte " << i << " (corrupted edge "
+                << bad_edge.src << "->" << bad_edge.dst << " #" << bad_edge.seq
+                << ")";
+        }
+    }
+}
+
+}  // namespace
+
+TEST(CollAlgos, ForwardedBcastBinomialPropagatesCorruptionLikeACopy) {
+    constexpr int p = kForwardP;
+    constexpr std::size_t bytes = 77;
+    for (int root : {0, 4}) {
+        // vrank v's parent is v minus its lowest set bit.
+        std::vector<Edge> edges;
+        for (int v = 1; v < p; ++v) {
+            const int parent = v - (v & -v);
+            edges.push_back({fwd_world((parent + root) % p),
+                             fwd_world((v + root) % p), 0, 0, bytes});
+        }
+        const auto [plan, hit] = corrupt_one(edges);
+        const int child = static_cast<int>(hit) + 1;  // vrank of the receiver
+        run_forwarding_case(
+            plan, bytes,
+            [&](const Comm& c, std::vector<std::byte>& buf) {
+                if (c.rank() == root) {
+                    for (std::size_t i = 0; i < bytes; ++i) buf[i] = pattern(i);
+                }
+                detail::bcast_binomial(c, buf.data(), bytes, root);
+            },
+            edges[hit], [&](int r) {
+                // The receiver's subtree: [child, child + lowbit(child)).
+                const int v = (r - root + p) % p;
+                return v >= child && v < child + (child & -child);
+            });
+    }
+}
+
+TEST(CollAlgos, ForwardedPipelinedChainPropagatesCorruptionLikeACopy) {
+    constexpr int p = kForwardP;
+    constexpr std::size_t bytes = 100, seg = 16;  // 7 segments
+    constexpr int root = 2;
+    std::vector<Edge> edges;
+    for (int v = 0; v + 1 < p; ++v) {
+        for (std::size_t s = 0; s * seg < bytes; ++s) {
+            edges.push_back({fwd_world((v + root) % p),
+                             fwd_world((v + 1 + root) % p), s, s * seg,
+                             std::min(seg, bytes - s * seg)});
+        }
+    }
+    const auto [plan, hit] = corrupt_one(edges);
+    const int receiver = static_cast<int>(hit / 7) + 1;  // its vrank
+    run_forwarding_case(
+        plan, bytes,
+        [&](const Comm& c, std::vector<std::byte>& buf) {
+            if (c.rank() == root) {
+                for (std::size_t i = 0; i < bytes; ++i) buf[i] = pattern(i);
+            }
+            detail::bcast_pipelined_chain(c, buf.data(), bytes, root, seg);
+        },
+        edges[hit], [&](int r) { return (r - root + p) % p >= receiver; });
+}
+
+TEST(CollAlgos, ForwardedRingsPropagateCorruptionLikeACopy) {
+    constexpr int p = kForwardP;
+    // Block b's bytes; allgather uses equal blocks, allgatherv irregular
+    // ones (every block nonempty, so every message carries bytes).
+    for (const bool vector : {false, true}) {
+        std::vector<std::size_t> counts(p), displs(p);
+        std::size_t total = 0;
+        for (int b = 0; b < p; ++b) {
+            counts[b] = vector ? 3 + static_cast<std::size_t>(b * 5 % 11) : 24;
+            displs[b] = total;
+            total += counts[b];
+        }
+        // Step k: comm rank r sends block (r - k) to r + 1.
+        std::vector<Edge> edges;
+        for (int r = 0; r < p; ++r) {
+            for (int k = 0; k < p - 1; ++k) {
+                const int b = (r - k + p) % p;
+                edges.push_back({fwd_world(r), fwd_world((r + 1) % p),
+                                 static_cast<std::uint64_t>(k), displs[b],
+                                 counts[b]});
+            }
+        }
+        const auto [plan, hit] = corrupt_one(edges);
+        const int sender = static_cast<int>(hit) / (p - 1);
+        const int step = static_cast<int>(hit) % (p - 1);
+        run_forwarding_case(
+            plan, total,
+            [&](const Comm& c, std::vector<std::byte>& buf) {
+                const auto me = static_cast<std::size_t>(c.rank());
+                std::vector<std::byte> mine(counts[me]);
+                for (std::size_t i = 0; i < mine.size(); ++i) {
+                    mine[i] = pattern(displs[me] + i);
+                }
+                if (vector) {
+                    detail::allgatherv_ring(c, mine.data(), mine.size(),
+                                            buf.data(), counts, displs);
+                } else {
+                    detail::allgather_ring(c, mine.data(), buf.data(),
+                                           counts[0]);
+                }
+            },
+            edges[hit], [&](int r) {
+                // The block travels sender + 1, ..., sender + (p - 1 - step).
+                const int j = (r - sender + p) % p;
+                return j >= 1 && j <= p - 1 - step;
+            });
+    }
 }
