@@ -97,7 +97,7 @@ Comm join_job_comm(Runtime& rt, Comm& world, const JobSpec& job, JobSlot& slot,
 /// Real (isolation-oracle) and SizeOnly (bench) runs see identical clocks.
 /// @p sendbuf and @p recvbuf belong to the calling rank and outlive the
 /// job, so their capacity carries over from one job to the next; every op
-/// sizes and fills them before use.
+/// sizes and fills them before use, the unbatched allreduce included.
 std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                       int mpos, std::vector<std::byte>& sendbuf,
                       std::vector<std::byte>& recvbuf) {
@@ -293,18 +293,22 @@ std::uint64_t run_ops(const ServiceConfig& cfg, Comm& jc, const JobSpec& job,
                 if (real) {
                     // Small-integer-valued doubles: the sum over members is
                     // exact regardless of the reduction algorithm's
-                    // association order.
-                    std::vector<double> in(cnt), out(cnt);
+                    // association order. The operands live in the rank's
+                    // byte buffers (operator new aligns them for double).
+                    sendbuf.resize(cnt * sizeof(double));
+                    recvbuf.assign(cnt * sizeof(double), std::byte{0});
                     for (std::size_t k = 0; k < cnt; ++k) {
-                        in[k] = static_cast<double>(
+                        const double v = static_cast<double>(
                             mix64(job.seed ^ salt ^
                                   (static_cast<std::uint64_t>(mpos) << 32) ^ k) &
                             0xFF);
+                        std::memcpy(sendbuf.data() + k * sizeof v, &v,
+                                    sizeof v);
                     }
-                    minimpi::allreduce(jc, in.data(), out.data(), cnt,
-                                       minimpi::Datatype::Double,
+                    minimpi::allreduce(jc, sendbuf.data(), recvbuf.data(),
+                                       cnt, minimpi::Datatype::Double,
                                        minimpi::Op::Sum);
-                    digest.update(out.data(), cnt * sizeof(double));
+                    digest.update(recvbuf.data(), recvbuf.size());
                 } else {
                     minimpi::allreduce(jc, nullptr, nullptr, cnt,
                                        minimpi::Datatype::Double,

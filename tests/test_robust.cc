@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "conformance/conformance.h"
 #include "hybrid/hympi.h"
+#include "robust/fold_kernels.h"
 
 using namespace minimpi;
 using namespace hympi;
@@ -66,6 +68,37 @@ std::uint64_t fold_whole(const std::vector<std::byte>& buf) {
     f.update(buf.data(), buf.size());
     return f.digest();
 }
+
+/// WordFold's definition written out word by word: word i into lane
+/// i % 32, the lanes combined in order from kOffset, then the zero-padded
+/// partial word and the length.
+std::uint64_t fold_reference(const std::byte* p, std::size_t n,
+                             std::uint64_t seed = robust::WordFold::kOffset) {
+    constexpr std::size_t kLanes = robust::WordFold::kLanes;
+    auto step = [](std::uint64_t h, std::uint64_t w) {
+        return (h ^ robust::mix64(w)) * robust::WordFold::kPrime;
+    };
+    auto word = [p](std::size_t at, std::size_t len) {
+        std::uint64_t w = 0;
+        for (std::size_t b = 0; b < len; ++b) {
+            w |= std::uint64_t{std::to_integer<unsigned char>(p[at + b])}
+                 << (8 * b);
+        }
+        return w;
+    };
+    std::uint64_t lanes[kLanes];
+    for (std::uint64_t& l : lanes) l = seed;
+    for (std::size_t i = 0; i < n / 8; ++i) {
+        lanes[i % kLanes] = step(lanes[i % kLanes], word(8 * i, 8));
+    }
+    std::uint64_t h = robust::WordFold::kOffset;
+    for (const std::uint64_t l : lanes) h = step(h, l);
+    if (n % 8 != 0) h = step(h, word(n - n % 8, n % 8));
+    return (h ^ n) * robust::WordFold::kPrime;
+}
+
+/// Three whole 32-lane blocks plus a 37-byte tail (4 words and 5 bytes).
+constexpr std::size_t kBlockInput = 3 * 256 + 37;
 
 }  // namespace
 
@@ -144,6 +177,130 @@ TEST(Checksum, TrailingZeroBytesChangeTheFold) {
     const std::uint64_t short_sum = fold_whole(buf);
     buf.push_back(std::byte{0});
     EXPECT_NE(fold_whole(buf), short_sum);
+}
+
+TEST(Checksum, FoldMatchesItsLaneDefinition) {
+    const std::vector<std::byte> buf = fold_input(kBlockInput);
+    for (std::size_t n = 0; n <= buf.size(); ++n) {
+        robust::WordFold f;
+        f.update(buf.data(), n);
+        ASSERT_EQ(f.digest(), fold_reference(buf.data(), n)) << "n " << n;
+    }
+    robust::WordFold seeded(0x1234);
+    seeded.update(buf.data(), buf.size());
+    EXPECT_EQ(seeded.digest(), fold_reference(buf.data(), buf.size(), 0x1234));
+}
+
+TEST(Checksum, BlockFoldIsIndependentOfHowTheStreamIsSplit) {
+    const std::vector<std::byte> buf = fold_input(kBlockInput);
+    const std::uint64_t whole = fold_whole(buf);
+    for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+        robust::WordFold f;
+        f.update(buf.data(), cut);
+        f.update(buf.data() + cut, buf.size() - cut);
+        ASSERT_EQ(f.digest(), whole) << "split at " << cut;
+    }
+    // Chunks that straddle word and block boundaries differently each call.
+    for (const std::size_t chunk : {1, 3, 8, 13, 255, 256, 257, 300}) {
+        robust::WordFold f;
+        for (std::size_t at = 0; at < buf.size(); at += chunk) {
+            f.update(buf.data() + at, std::min(chunk, buf.size() - at));
+        }
+        EXPECT_EQ(f.digest(), whole) << "chunks of " << chunk;
+    }
+}
+
+TEST(Checksum, AnyBitFlipInABlockInputChangesTheFold) {
+    const std::vector<std::byte> buf = fold_input(kBlockInput);
+    const std::uint64_t whole = fold_whole(buf);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            std::vector<std::byte> bad = buf;
+            bad[i] ^= static_cast<std::byte>(1u << bit);
+            ASSERT_NE(fold_whole(bad), whole) << "byte " << i << " bit " << bit;
+        }
+    }
+}
+
+TEST(Checksum, SignFlipsInOneLaneOrAdjacentLanesDoNotCancel) {
+    const std::vector<std::byte> buf = fold_input(kBlockInput);
+    const std::uint64_t whole = fold_whole(buf);
+    const std::size_t words = buf.size() / 8;
+    auto two_signs = [&buf](std::size_t a, std::size_t b) {
+        std::vector<std::byte> bad = buf;
+        bad[8 * a + 7] ^= std::byte{0x80};
+        bad[8 * b + 7] ^= std::byte{0x80};
+        return fold_whole(bad);
+    };
+    for (std::size_t w = 0; w + robust::WordFold::kLanes < words; ++w) {
+        ASSERT_NE(two_signs(w, w + robust::WordFold::kLanes), whole)
+            << "same lane, words " << w << " and "
+            << w + robust::WordFold::kLanes;
+    }
+    for (std::size_t w = 0; w + 1 < words; ++w) {
+        ASSERT_NE(two_signs(w, w + 1), whole)
+            << "adjacent lanes, words " << w << " and " << w + 1;
+    }
+}
+
+namespace {
+
+using FoldKernel = void (*)(std::uint64_t*, const unsigned char*,
+                            std::size_t);
+
+/// Runs @p kernel on 0-9 blocks at every start alignment within a cache
+/// line, from seeded lanes, and compares the lanes with the portable loop.
+void expect_kernel_matches_portable(FoldKernel kernel) {
+    constexpr std::size_t kLanes = robust::WordFold::kLanes;
+    constexpr std::size_t kMaxBlocks = 9;
+    std::vector<unsigned char> src(kMaxBlocks * 8 * kLanes + 64);
+    for (std::size_t i = 0; i < src.size(); ++i) {
+        src[i] = static_cast<unsigned char>(robust::mix64(i) >> 56);
+    }
+    for (std::size_t blocks = 0; blocks <= kMaxBlocks; ++blocks) {
+        for (std::size_t offset = 0; offset < 64; ++offset) {
+            std::uint64_t want[kLanes], got[kLanes];
+            for (std::size_t j = 0; j < kLanes; ++j) {
+                want[j] = got[j] = robust::mix64(blocks * 64 + offset + j);
+            }
+            robust::detail::fold_blocks_portable(want, src.data() + offset,
+                                                 blocks);
+            kernel(got, src.data() + offset, blocks);
+            for (std::size_t j = 0; j < kLanes; ++j) {
+                ASSERT_EQ(got[j], want[j]) << blocks << " blocks at offset "
+                                           << offset << ", lane " << j;
+            }
+        }
+    }
+}
+
+}  // namespace
+
+TEST(Checksum, PortableBlockKernelFollowsTheLaneStep) {
+    const std::vector<std::byte> buf = fold_input(2 * 256);
+    std::uint64_t lanes[robust::WordFold::kLanes] = {};
+    robust::detail::fold_blocks_portable(
+        lanes, reinterpret_cast<const unsigned char*>(buf.data()), 2);
+    for (std::size_t j = 0; j < robust::WordFold::kLanes; ++j) {
+        std::uint64_t lane = 0;
+        for (std::size_t b = 0; b < 2; ++b) {
+            std::uint64_t w;
+            std::memcpy(&w, buf.data() + 256 * b + 8 * j, 8);
+            lane = (lane ^ robust::mix64(w)) * robust::WordFold::kPrime;
+        }
+        EXPECT_EQ(lanes[j], lane) << "lane " << j;
+    }
+}
+
+TEST(Checksum, Avx512BlockKernelIsBitIdenticalToPortableLoop) {
+    if (!robust::detail::cpu_has_avx512dq()) {
+        GTEST_SKIP() << "CPU lacks AVX-512F/DQ";
+    }
+    expect_kernel_matches_portable(&robust::detail::fold_blocks_avx512);
+}
+
+TEST(Checksum, DispatchedBlockKernelIsBitIdenticalToPortableLoop) {
+    expect_kernel_matches_portable(&robust::detail::fold_blocks);
 }
 
 TEST(Checksum, FramesBindGenAndLength) {

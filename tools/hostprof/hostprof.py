@@ -2,11 +2,13 @@
 """Run a program under the hostprof sampler and symbolize its samples.
 
   python3 tools/hostprof/hostprof.py run --lib LIB --out PROF [--top N]
-          [--min-samples N] -- PROGRAM [ARGS...]
+          [--min-samples N] [--min-callers N] -- PROGRAM [ARGS...]
       Run PROGRAM with LIB (libhostprof.so) preloaded, writing its samples
       to PROF (one per millisecond of CPU time, at most one per kernel
-      tick), then print the report. Exits 1 when PROGRAM fails or the
-      profile holds fewer than --min-samples samples (default 0).
+      tick), then print the report. Exits 1 when PROGRAM fails, the
+      profile holds fewer than --min-samples samples, or fewer than
+      --min-callers memcpy/memset/syscall samples found their caller
+      (both default 0).
   python3 tools/hostprof/hostprof.py report PROF [--top N]
       Print the report of an existing profile.
 
@@ -27,6 +29,21 @@ are classified by instruction instead:
 A libc function is the range from one .eh_frame_hdr entry to the next; it
 is named by an exported symbol at its start, or `libc@0x...`. PCs in other
 objects get the class `program` (the profiled binary), or the object's name.
+
+Each memcpy, memset and syscall sample is also credited to its caller: the
+first of the sample's caller candidates that is a return address in the
+profiled binary (it lies in the binary's code and follows a call
+instruction). The candidates are the word at the interrupted RSP, which is
+the return address while a frameless leaf such as memcpy runs, then the
+return addresses of the RBP frame chain. libc keeps no frame pointers, so
+inside a libc function that has pushed or called, only the chain of the
+program's own frames reaches the program, and only a program built with
+-fno-omit-frame-pointer has such a chain:
+
+  cmake -B build-fp -S . -DCMAKE_CXX_FLAGS=-fno-omit-frame-pointer
+
+(hybench: configure .bench_build the same way). Without it, samples whose
+RSP word is not a return address stay uncredited.
 """
 
 import argparse
@@ -50,8 +67,9 @@ MALLOC_NAMES = ("malloc", "free", "calloc", "realloc", "cfree", "memalign",
 
 def parse_profile(path):
     """Header dict, executable file mappings [(start, end, offset, path)],
-    the program's path (the first file mapping) and the PCs."""
-    header, maps, pcs, program = {}, [], [], None
+    the program's path (the first file mapping) and the samples, each
+    [PC, caller candidates...] (version 1 profiles hold the PC alone)."""
+    header, maps, samples, program = {}, [], [], None
     with open(path) as f:
         first = f.readline().split()
         if len(first) < 2 or first[0] != "hostprof":
@@ -71,9 +89,9 @@ def parse_profile(path):
                 if "x" in fields[1] and path_.startswith("/"):
                     maps.append((lo, hi, int(fields[2], 16), path_))
             elif line.strip():
-                pcs.append(int(line, 16))
+                samples.append([int(x, 16) for x in line.split()])
     maps.sort()
-    return header, maps, program, pcs
+    return header, maps, program, samples
 
 
 class Elf:
@@ -180,6 +198,20 @@ class Module:
         self.exact = dict(self.syms)
         self.func_class = {}
 
+    def follows_call(self, vaddr):
+        """Whether the code bytes before @p vaddr end in a call: e8 rel32,
+        or an ff /2 indirect call of 2 to 7 bytes (a heuristic: any ff whose
+        ModRM reg field is 2 at one of those distances)."""
+        if self.elf is None:
+            return False
+        b = self.elf.bytes_at(vaddr - 7, 7)
+        if len(b) != 7:
+            return False
+        if b[2] == 0xE8:
+            return True
+        return any(b[7 - k] == 0xFF and (b[8 - k] >> 3) & 7 == 2
+                   for k in range(2, 8))
+
     def symbol(self, vaddr):
         i = bisect.bisect_right(self.sym_addrs, vaddr) - 1
         return self.syms[i][1] if i >= 0 else "?"
@@ -223,42 +255,76 @@ class Module:
         return "libc"
 
 
+CREDITED = ("memcpy", "memset", "syscall")
+
+
 def report(path, top):
-    header, maps, program, pcs = parse_profile(path)
+    """Print the report; returns (samples, credited samples with a caller)."""
+    header, maps, program, samples = parse_profile(path)
     modules = {}
     starts = [m[0] for m in maps]
-    classes = collections.Counter()
-    symbols = collections.Counter()
-    for pc in pcs:
-        i = bisect.bisect_right(starts, pc) - 1
-        if i < 0 or pc >= maps[i][1]:
-            classes["unknown"] += 1
-            symbols[("?", "[unmapped]")] += 1
-            continue
+
+    def module_of(addr):
+        i = bisect.bisect_right(starts, addr) - 1
+        if i < 0 or addr >= maps[i][1]:
+            return None
         p = maps[i][3]
         if p not in modules:
             modules[p] = Module(p, maps[i][0], maps[i][2])
-        m = modules[p]
+        return modules[p]
+
+    # Any address of the program's own mapping gives its Module.
+    prog = module_of(next((lo for lo, _, _, p in maps if p == program), 0))
+
+    def caller(candidates):
+        """Symbol of the first program return address, or None."""
+        for addr in candidates:
+            if addr and prog is not None and module_of(addr) is prog and \
+                    prog.follows_call(addr - prog.bias):
+                return prog.symbol(addr - prog.bias - 1)
+        return None
+
+    classes = collections.Counter()
+    symbols = collections.Counter()
+    callers = collections.Counter()
+    credited = 0
+    for sample in samples:
+        pc = sample[0]
+        m = module_of(pc)
+        if m is None:
+            classes["unknown"] += 1
+            symbols[("?", "[unmapped]")] += 1
+            continue
         vaddr = pc - m.bias
         if m.is_libc:
             cls, sym = m.classify_libc(vaddr)
         else:
-            cls = "program" if p == program else m.name
+            cls = "program" if m is prog else m.name
             sym = m.symbol(vaddr)
         classes[cls] += 1
         symbols[(m.name, sym)] += 1
-    n = len(pcs)
+        if cls in CREDITED:
+            credited += 1
+            callers[(cls, caller(sample[1:]) or "[no program frame]")] += 1
+    n = len(samples)
     print("hostprof: %d samples (%d dropped) from %s" %
           (n, header.get("dropped", 0), path))
     if n == 0:
-        return 0
+        return 0, 0
     print("\n%-24s %9s %7s" % ("class", "samples", "share"))
     for cls, c in classes.most_common():
         print("%-24s %9d %6.1f%%" % (cls, c, 100.0 * c / n))
     print("\n%7s %9s  %-20s %s" % ("share", "samples", "object", "symbol"))
     for (mod, sym), c in symbols.most_common(top):
         print("%6.1f%% %9d  %-20s %s" % (100.0 * c / n, c, mod[:20], sym))
-    return n
+    found = credited - sum(c for (_, who), c in callers.items()
+                           if who == "[no program frame]")
+    print("\n%s samples by first program frame (%d of %d credited)" %
+          ("/".join(CREDITED), found, credited))
+    print("%7s %9s  %-8s %s" % ("share", "samples", "class", "caller"))
+    for (cls, who), c in callers.most_common(top):
+        print("%6.1f%% %9d  %-8s %s" % (100.0 * c / n, c, cls, who))
+    return n, found
 
 
 def main():
@@ -269,6 +335,7 @@ def main():
     r.add_argument("--out", required=True)
     r.add_argument("--top", type=int, default=25)
     r.add_argument("--min-samples", type=int, default=0)
+    r.add_argument("--min-callers", type=int, default=0)
     r.add_argument("program", nargs=argparse.REMAINDER)
     rep = sub.add_parser("report")
     rep.add_argument("profile")
@@ -286,10 +353,14 @@ def main():
     if rc != 0:
         print("hostprof: %s exited with %d" % (prog[0], rc), file=sys.stderr)
         return 1
-    n = report(a.out, a.top)
+    n, found = report(a.out, a.top)
     if n < a.min_samples:
         print("hostprof: %d samples, fewer than %d" % (n, a.min_samples),
               file=sys.stderr)
+        return 1
+    if found < a.min_callers:
+        print("hostprof: %d samples found a caller, fewer than %d" %
+              (found, a.min_callers), file=sys.stderr)
         return 1
     return 0
 
